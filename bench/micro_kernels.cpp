@@ -113,7 +113,7 @@ void BM_ChipkillDecodeCorrect(benchmark::State& state) {
 BENCHMARK(BM_ChipkillDecodeCorrect);
 
 // --- native backend entries -------------------------------------------------
-// Unprotected blocked native GEMM vs the fused FT-DGEMM, at the sizes the
+// Unprotected packed native GEMM vs the fused FT-DGEMM, at the sizes the
 // benchgate overhead gate uses. Registered at runtime so the rows carry
 // the dispatched kernel's name and hosts without AVX2/FMA simply skip the
 // avx2-labeled rows instead of reporting scalar numbers under that label.

@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstddef>
 #include <span>
-#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/matrix.hpp"
@@ -203,42 +202,11 @@ void gemm(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
   for (std::size_t j = 0; j < c.cols(); ++j) {
     for (std::size_t i = 0; i < c.rows(); ++i) {
       tap.update(&c(i, j));
-      c(i, j) *= beta;
+      c(i, j) = beta == 0.0 ? 0.0 : c(i, j) * beta;  // BLAS: beta 0 ignores C
     }
   }
   if (alpha == 0.0) return;
   const std::size_t m = c.rows(), n = c.cols(), kk = a.cols();
-#if defined(_OPENMP)
-  // Uninstrumented runs parallelize over independent C column panels; the
-  // instrumented (simulation) path stays sequential so the access stream
-  // keeps program order.
-  if constexpr (std::is_same_v<Tap, NullTap>) {
-    if (n >= 2 * kBlock && m * n * kk >= (std::size_t{1} << 21)) {
-#pragma omp parallel for schedule(static)
-      for (std::size_t j0 = 0; j0 < n; j0 += kBlock) {
-        const std::size_t jb = std::min(kBlock, n - j0);
-        for (std::size_t k0 = 0; k0 < kk; k0 += kBlock) {
-          const std::size_t kb = std::min(kBlock, kk - k0);
-          for (std::size_t i0 = 0; i0 < m; i0 += kBlock) {
-            const std::size_t ib = std::min(kBlock, m - i0);
-            auto at = a.block(i0, k0, ib, kb);
-            auto bt = b.block(k0, j0, kb, jb);
-            auto ct = c.block(i0, j0, ib, jb);
-            for (std::size_t j = 0; j < ct.cols(); ++j) {
-              for (std::size_t k = 0; k < at.cols(); ++k) {
-                const double bkj = alpha * bt(k, j);
-                if (bkj == 0.0) continue;
-                for (std::size_t i = 0; i < ct.rows(); ++i)
-                  ct(i, j) += at(i, k) * bkj;
-              }
-            }
-          }
-        }
-      }
-      return;
-    }
-  }
-#endif
   for (std::size_t k0 = 0; k0 < kk; k0 += kBlock) {
     const std::size_t kb = std::min(kBlock, kk - k0);
     for (std::size_t i0 = 0; i0 < m; i0 += kBlock) {

@@ -21,8 +21,16 @@ namespace abftecc::linalg {
 [[nodiscard]] const char* native_kernel_name();
 
 /// c <- alpha * a * b + beta * c (column-major, views may be sub-blocks).
+/// As in BLAS dgemm, beta == 0 overwrites c without reading it, and
+/// alpha == 0 reads neither a nor b.
 void gemm_native(double alpha, ConstMatrixView a, ConstMatrixView b,
                  double beta, MatrixView c);
+
+/// One core's floating-point peak in GF/s for the ISA gemm_native runs on:
+/// a register-only loop of independent multiply-adds (4-wide FMA on the
+/// AVX2 path, scalar otherwise), best of three ~25 ms runs. The roofline
+/// native GEMM throughput is judged against.
+[[nodiscard]] double native_fma_peak_gflops();
 
 namespace detail {
 void gemm_native_scalar(double alpha, ConstMatrixView a, ConstMatrixView b,
@@ -30,6 +38,9 @@ void gemm_native_scalar(double alpha, ConstMatrixView a, ConstMatrixView b,
 #ifdef ABFTECC_HAVE_AVX2_TU
 void gemm_native_avx2(double alpha, ConstMatrixView a, ConstMatrixView b,
                       double beta, MatrixView c);
+/// Runs `iters` steps of the AVX2 FMA peak loop, leaves its result in
+/// `sink` and returns its flop count.
+double fma_peak_loop_avx2(long iters, double& sink);
 #endif
 }  // namespace detail
 

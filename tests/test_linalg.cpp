@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/matrix.hpp"
@@ -10,6 +11,7 @@
 #include "linalg/blas.hpp"
 #include "linalg/cg.hpp"
 #include "linalg/factor.hpp"
+#include "linalg/gemm_native.hpp"
 #include "linalg/generate.hpp"
 
 namespace abftecc::linalg {
@@ -115,6 +117,98 @@ TEST(Gemm, AlphaBetaScaling) {
       expect(i, j) = 2.0 * expect(i, j) + 3.0 * c(i, j);
   gemm(2.0, a.view(), b.view(), 3.0, c.view());
   EXPECT_LT(max_abs_diff(c.view(), expect.view()), 1e-10);
+}
+
+// --- gemm_native: packed AVX2 path (when the host dispatches it) and the
+// scalar fallback, both against a plain triple loop that shares no code with
+// either. Shapes straddle the 8x6 register tile, the 96-row A block, the
+// 256-deep k block and the 512-column B block.
+
+/// C <- alpha * A B + beta * C, element by element; beta == 0 never reads C.
+void naive_gemm_update(double alpha, ConstMatrixView a, ConstMatrixView b,
+                       double beta, MatrixView c) {
+  for (std::size_t j = 0; j < c.cols(); ++j)
+    for (std::size_t i = 0; i < c.rows(); ++i) {
+      double s = 0.0;
+      for (std::size_t k = 0; k < a.cols(); ++k) s += a(i, k) * b(k, j);
+      c(i, j) = beta == 0.0 ? alpha * s : alpha * s + beta * c(i, j);
+    }
+}
+
+using GemmFn = void (*)(double, ConstMatrixView, ConstMatrixView, double,
+                        MatrixView);
+
+class GemmNativeShapes
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(GemmNativeShapes, MatchesNaiveOnStridedViews) {
+  const auto [m, n, k] = GetParam();
+  Rng rng(7 + m * 131 + n * 17 + k);
+  // Every operand is an interior block of a larger matrix, so ld > rows and
+  // a write outside the block shows up in the border.
+  const Matrix abig = Matrix::random(m + 3, k + 2, rng);
+  const Matrix bbig = Matrix::random(k + 5, n + 1, rng);
+  const Matrix cinit = Matrix::random(m + 4, n + 3, rng);
+  const ConstMatrixView a = abig.view().block(2, 1, m, k);
+  const ConstMatrixView b = bbig.view().block(4, 0, k, n);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [name, fn] : {std::pair<const char*, GemmFn>{
+                                     "gemm_native", &gemm_native},
+                                 {"scalar", &detail::gemm_native_scalar}}) {
+    for (const double alpha : {1.0, -1.0, 0.5}) {
+      for (const double beta : {0.0, 0.5, 1.0}) {
+        Matrix got = cinit, want = cinit;
+        // BLAS semantics: with beta == 0 whatever C held is never read.
+        if (beta == 0.0) got.view().block(1, 2, m, n).fill(nan);
+        fn(alpha, a, b, beta, got.view().block(1, 2, m, n));
+        naive_gemm_update(alpha, a, b, beta, want.view().block(1, 2, m, n));
+        double err = 0.0;
+        for (std::size_t j = 0; j < got.cols(); ++j)
+          for (std::size_t i = 0; i < got.rows(); ++i) {
+            ASSERT_TRUE(std::isfinite(got(i, j)))
+                << name << " alpha=" << alpha << " beta=" << beta << " at ("
+                << i << ", " << j << ")";
+            err = std::max(err, std::abs(got(i, j) - want(i, j)));
+          }
+        EXPECT_LT(err, 1e-12 * (k + 1))
+            << name << " alpha=" << alpha << " beta=" << beta;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GemmNativeShapes,
+    ::testing::Values(std::tuple{1, 1, 1}, std::tuple{1, 13, 7},
+                      std::tuple{11, 1, 9}, std::tuple{5, 7, 1},
+                      std::tuple{8, 6, 256}, std::tuple{13, 11, 29},
+                      std::tuple{61, 47, 83},       // no tile multiples
+                      std::tuple{17, 19, 600},      // k > kc, twice over
+                      std::tuple{203, 14, 21},      // m > mc
+                      std::tuple{9, 1030, 5},       // n > nc
+                      std::tuple{100, 520, 270}));  // all three blocked
+
+TEST(GemmNative, AlphaZeroScalesCWithoutReadingAB) {
+  // BLAS: alpha == 0 leaves A and B unread, so a NaN there cannot leak in.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Matrix a(9, 7), b(7, 10);
+  a.view().fill(nan);
+  b.view().fill(nan);
+  Rng rng(3);
+  for (const GemmFn fn : {GemmFn{&gemm_native}, &detail::gemm_native_scalar}) {
+    Matrix c = Matrix::random(9, 10, rng);
+    const Matrix c0 = c;
+    fn(0.0, a.view(), b.view(), 0.5, c.view());
+    for (std::size_t j = 0; j < 10; ++j)
+      for (std::size_t i = 0; i < 9; ++i) EXPECT_EQ(c(i, j), 0.5 * c0(i, j));
+    fn(0.0, a.view(), b.view(), 0.0, c.view());
+    for (std::size_t j = 0; j < 10; ++j)
+      for (std::size_t i = 0; i < 9; ++i) EXPECT_EQ(c(i, j), 0.0);
+  }
+}
+
+TEST(GemmNative, FmaPeakIsPositive) {
+  EXPECT_GT(native_fma_peak_gflops(), 0.0);
 }
 
 TEST(Trsm, RightLowerTransSolves) {

@@ -43,16 +43,20 @@ BENCHES = [
     "fault_model_thresholds",
 ]
 
-# The native fused-FT gate: ftgemm_native measures the fused FT-DGEMM
-# against the unprotected native GEMM in wall-clock, so its numbers never
-# enter the baseline snapshot (they move with the host); instead its
-# overhead ratio at n=2048 is gated against an absolute ceiling. Hosts
-# whose dispatch falls back to the scalar kernel skip the gate with a note
-# (the ratio is meaningless as a SIMD-overhead claim there).
+# The native gates: ftgemm_native measures the fused FT-DGEMM against the
+# unprotected native GEMM, and that GEMM against one core's FMA peak, in
+# wall-clock, so its numbers never enter the baseline snapshot (they move
+# with the host). Instead two medians over interleaved reps are gated
+# against absolute limits: the fused overhead at n=2048 (ceiling) and the
+# plain GEMM's fraction of FMA peak at n=1024 (floor). Hosts whose dispatch
+# falls back to the scalar kernel skip both with a note (neither is a
+# meaningful SIMD claim there).
 NATIVE_BENCH = "ftgemm_native"
 NATIVE_SIMD_KERNEL = "avx2-fma"
 FUSED_OVERHEAD_LIMIT = 0.10
 FUSED_OVERHEAD_SCALAR = "overhead_ratio_2048"
+PEAK_FRAC_FLOOR = 0.5
+PEAK_FRAC_SCALAR = "peak_frac_1024"
 
 # Relative tolerance per metric class; metrics not listed use DEFAULT_RTOL.
 # A metric passes when |cand - base| <= max(rtol * |base|, ATOL).
@@ -162,29 +166,48 @@ def compare(baseline, candidate):
     return flagged
 
 
-def gate_native_overhead(build_dir):
-    """Run ftgemm_native and enforce the fused-FT overhead ceiling.
+def gate_native(build_dir):
+    """Run ftgemm_native and enforce the fused-FT overhead ceiling and the
+    peak-fraction floor.
 
     Returns True on pass (or graceful skip), False on failure.
     """
     doc = run_bench(build_dir, NATIVE_BENCH, build_dir)
     simd = doc.get("notes", {}).get("simd_kernel")
-    ratio = doc.get("scalars", {}).get(FUSED_OVERHEAD_SCALAR)
+    scalars = doc.get("scalars", {})
+    ratio = scalars.get(FUSED_OVERHEAD_SCALAR)
+    frac = scalars.get(PEAK_FRAC_SCALAR)
     if simd != NATIVE_SIMD_KERNEL:
-        print(f"benchgate: native gate SKIPPED -- host dispatches "
+        print(f"benchgate: native gates SKIPPED -- host dispatches "
               f"'{simd}', not '{NATIVE_SIMD_KERNEL}' "
               f"(measured {FUSED_OVERHEAD_SCALAR}="
-              f"{ratio if ratio is not None else 'n/a'})")
+              f"{ratio if ratio is not None else 'n/a'}, "
+              f"{PEAK_FRAC_SCALAR}={frac if frac is not None else 'n/a'})")
         return True
-    if not isinstance(ratio, (int, float)):
-        print(f"benchgate: FAIL -- {NATIVE_BENCH} report carries no "
-              f"numeric {FUSED_OVERHEAD_SCALAR}", file=sys.stderr)
+    ok = True
+    for name, value in ((FUSED_OVERHEAD_SCALAR, ratio),
+                        (PEAK_FRAC_SCALAR, frac)):
+        if not isinstance(value, (int, float)):
+            print(f"benchgate: FAIL -- {NATIVE_BENCH} report carries no "
+                  f"numeric {name}", file=sys.stderr)
+            ok = False
+    if not ok:
         return False
+    iqr = scalars.get("overhead_ratio_iqr_2048", float("nan"))
     verdict = ratio < FUSED_OVERHEAD_LIMIT
-    print(f"benchgate: native fused-FT overhead at 2048: {ratio:+.2%} "
-          f"(limit {FUSED_OVERHEAD_LIMIT:.0%}) -- "
+    print(f"benchgate: native fused-FT overhead at 2048 (linalg/abft, "
+          f"{FUSED_OVERHEAD_SCALAR}, median): {ratio:+.2%} (IQR {iqr:.2%}, "
+          f"limit {FUSED_OVERHEAD_LIMIT:.0%}, margin "
+          f"{FUSED_OVERHEAD_LIMIT - ratio:+.2%}) -- "
           f"{'OK' if verdict else 'FAIL'}")
-    return verdict
+    peak = scalars.get("fma_peak_gflops", float("nan"))
+    gflops = scalars.get("plain_gflops_1024", float("nan"))
+    floor_ok = frac >= PEAK_FRAC_FLOOR
+    print(f"benchgate: native GEMM share of FMA peak at 1024 (linalg, "
+          f"{PEAK_FRAC_SCALAR}, median): {frac:.1%} ({gflops:.2f} of "
+          f"{peak:.2f} GF/s, floor {PEAK_FRAC_FLOOR:.0%}, margin "
+          f"{frac - PEAK_FRAC_FLOOR:+.1%}) -- {'OK' if floor_ok else 'FAIL'}")
+    return verdict and floor_ok
 
 
 def main():
@@ -196,7 +219,7 @@ def main():
                     help="write the fresh snapshot to the baseline path "
                          "instead of comparing")
     ap.add_argument("--skip-native", action="store_true",
-                    help="skip the wall-clock ftgemm_native overhead gate")
+                    help="skip the wall-clock ftgemm_native gates")
     args = ap.parse_args()
 
     snapshot = {
@@ -213,8 +236,7 @@ def main():
     print(f"benchgate: wrote snapshot {fresh_path} "
           f"({len(BENCHES)} bench reports)")
 
-    native_ok = True if args.skip_native else gate_native_overhead(
-        args.build_dir)
+    native_ok = True if args.skip_native else gate_native(args.build_dir)
 
     if args.update:
         with open(args.baseline, "w") as f:
@@ -234,7 +256,7 @@ def main():
 
     flagged = compare(baseline, snapshot)
     if not native_ok:
-        print("benchgate: native fused-FT overhead gate FAILED")
+        print("benchgate: native gates FAILED")
     if flagged:
         print(f"\n{'bench':<28} {'metric':<44} {'baseline':>14} "
               f"{'candidate':>14}  delta")
