@@ -1,30 +1,27 @@
 #include "memsim/cache.hpp"
 
+#include <bit>
+
 #include "common/error.hpp"
 
 namespace abftecc::memsim {
 
-Cache::Cache(const CacheConfig& cfg) : cfg_(cfg), num_sets_(cfg.num_sets()) {
-  ABFTECC_REQUIRE(num_sets_ > 0 && (num_sets_ & (num_sets_ - 1)) == 0);
+Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
   ABFTECC_REQUIRE(cfg.ways > 0);
-  lines_.resize(num_sets_ * cfg.ways);
+  ABFTECC_REQUIRE(std::has_single_bit(cfg.line_bytes));
+  const std::size_t sets = cfg.num_sets();
+  ABFTECC_REQUIRE(std::has_single_bit(sets));
+  set_mask_ = sets - 1;
+  line_shift_ = static_cast<unsigned>(std::countr_zero(cfg.line_bytes));
+  tag_shift_ = line_shift_ + static_cast<unsigned>(std::countr_zero(sets));
+  lines_.resize(sets * cfg.ways);
 }
 
-CacheAccess Cache::access(std::uint64_t addr, bool is_write) {
-  ++stats_.accesses;
-  const std::size_t set = set_index(addr);
-  const std::uint64_t tag = tag_of(addr);
-  Line* base = &lines_[set * cfg_.ways];
-
+CacheAccess Cache::fill(Line* base, std::size_t set, std::uint64_t tag,
+                        bool is_write) {
   Line* lru_line = base;
   for (unsigned w = 0; w < cfg_.ways; ++w) {
     Line& line = base[w];
-    if (line.valid && line.tag == tag) {
-      line.lru = ++tick_;
-      line.dirty = line.dirty || is_write;
-      ++stats_.hits;
-      return CacheAccess{.hit = true};
-    }
     if (!line.valid) {
       lru_line = &line;  // prefer an invalid slot outright
     } else if (lru_line->valid && line.lru < lru_line->lru) {
@@ -40,7 +37,7 @@ CacheAccess Cache::access(std::uint64_t addr, bool is_write) {
     result.evicted_dirty = lru_line->dirty;
     if (lru_line->dirty) ++stats_.dirty_evictions;
     result.evicted_line_addr =
-        (lru_line->tag * num_sets_ + set) * cfg_.line_bytes;
+        (lru_line->tag << tag_shift_) | (std::uint64_t{set} << line_shift_);
   }
   lru_line->valid = true;
   lru_line->tag = tag;

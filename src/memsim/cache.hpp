@@ -33,10 +33,28 @@ struct CacheAccess {
 
 class Cache {
  public:
+  /// Line size and set count must both be powers of two.
   explicit Cache(const CacheConfig& cfg);
 
   /// Look up `addr`; on miss the line is allocated (victim reported).
-  CacheAccess access(std::uint64_t addr, bool is_write);
+  /// The hit scan is inline so MemorySystem::access folds both lookups
+  /// into its own body; only a miss leaves it, through fill().
+  CacheAccess access(std::uint64_t addr, bool is_write) {
+    ++stats_.accesses;
+    const std::size_t set = set_index(addr);
+    const std::uint64_t tag = tag_of(addr);
+    Line* base = &lines_[set * cfg_.ways];
+    for (unsigned w = 0; w < cfg_.ways; ++w) {
+      Line& line = base[w];
+      if (line.valid && line.tag == tag) {
+        line.lru = ++tick_;
+        line.dirty = line.dirty || is_write;
+        ++stats_.hits;
+        return CacheAccess{.hit = true};
+      }
+    }
+    return fill(base, set, tag, is_write);
+  }
 
   /// Invalidate a line if present (used for inclusive-hierarchy back
   /// invalidations). Returns true if it was present and dirty.
@@ -55,16 +73,22 @@ class Cache {
     bool dirty = false;
   };
 
+  /// Miss path: pick the victim in `base`'s set, report it, allocate `tag`.
+  CacheAccess fill(Line* base, std::size_t set, std::uint64_t tag,
+                   bool is_write);
+
   [[nodiscard]] std::size_t set_index(std::uint64_t addr) const {
-    return (addr / cfg_.line_bytes) % num_sets_;
+    return (addr >> line_shift_) & set_mask_;
   }
   [[nodiscard]] std::uint64_t tag_of(std::uint64_t addr) const {
-    return addr / cfg_.line_bytes / num_sets_;
+    return addr >> tag_shift_;
   }
 
   CacheConfig cfg_;
-  std::size_t num_sets_;
-  std::vector<Line> lines_;  ///< num_sets_ * ways, set-major
+  std::size_t set_mask_;  ///< num_sets - 1
+  unsigned line_shift_;   ///< log2(line_bytes)
+  unsigned tag_shift_;    ///< log2(line_bytes * num_sets)
+  std::vector<Line> lines_;  ///< num_sets * ways, set-major
   std::uint64_t tick_ = 0;
   CacheStats stats_;
 };

@@ -89,7 +89,7 @@ void MemorySystem::access(std::uint64_t phys_addr, AccessKind kind) {
 
   const bool is_write = kind != AccessKind::kRead;
   const std::uint64_t line =
-      phys_addr / cfg_.l1.line_bytes * cfg_.l1.line_bytes;
+      phys_addr & ~(std::uint64_t{cfg_.l1.line_bytes} - 1);
 
   const CacheAccess a1 = l1_.access(line, is_write);
   if (a1.hit) return;

@@ -50,10 +50,10 @@ class TapContext {
       ++refs_abft_;
     else
       ++refs_other_;
-    // A reference that straddles a line boundary touches both lines.
+    // A reference that straddles an L1 line boundary touches both lines.
     system_.access(phys, kind);
-    const std::uint64_t line = 64;
-    if ((phys % line) + bytes > line)
+    const std::uint64_t line = system_.config().l1.line_bytes;
+    if ((phys & (line - 1)) + bytes > line)
       system_.access(phys + bytes - 1, kind);
     if (trigger_ && refs_abft_ + refs_other_ >= trigger_at_) {
       // One-shot: clear before firing so the callback may itself issue

@@ -3,8 +3,13 @@
 // front-end's stat/energy accounting.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
 #include <utility>
+#include <vector>
 
+#include "common/error.hpp"
+#include "common/rng.hpp"
 #include "ecc/scheme.hpp"
 #include "memsim/address_map.hpp"
 #include "memsim/cache.hpp"
@@ -67,6 +72,168 @@ TEST(Cache, MissRateComputed) {
   c.access(0, false);
   c.access(0, false);
   EXPECT_DOUBLE_EQ(c.stats().miss_rate(), 0.5);
+}
+
+// Reference model for the differential test below: a straightforward
+// true-LRU cache that finds set and tag with runtime divisions and picks its
+// victim in the same scan. Cache, which uses shifts and masks and a separate
+// fill path, must agree with it on every access.
+class DividingLruCache {
+ public:
+  explicit DividingLruCache(const CacheConfig& cfg)
+      : cfg_(cfg), num_sets_(cfg.num_sets()), lines_(num_sets_ * cfg.ways) {}
+
+  CacheAccess access(std::uint64_t addr, bool is_write) {
+    ++stats_.accesses;
+    const std::size_t set = (addr / cfg_.line_bytes) % num_sets_;
+    const std::uint64_t tag = addr / cfg_.line_bytes / num_sets_;
+    Line* base = &lines_[set * cfg_.ways];
+    Line* lru_line = base;
+    for (unsigned w = 0; w < cfg_.ways; ++w) {
+      Line& line = base[w];
+      if (line.valid && line.tag == tag) {
+        line.lru = ++tick_;
+        line.dirty = line.dirty || is_write;
+        ++stats_.hits;
+        return CacheAccess{.hit = true};
+      }
+      if (!line.valid) {
+        lru_line = &line;
+      } else if (lru_line->valid && line.lru < lru_line->lru) {
+        lru_line = &line;
+      }
+    }
+    ++stats_.misses;
+    CacheAccess result;
+    if (lru_line->valid) {
+      ++stats_.evictions;
+      result.evicted = true;
+      result.evicted_dirty = lru_line->dirty;
+      if (lru_line->dirty) ++stats_.dirty_evictions;
+      result.evicted_line_addr =
+          (lru_line->tag * num_sets_ + set) * cfg_.line_bytes;
+    }
+    *lru_line = Line{tag, ++tick_, true, is_write};
+    return result;
+  }
+
+  bool invalidate(std::uint64_t addr) {
+    Line* line = find(addr);
+    if (line == nullptr) return false;
+    line->valid = false;
+    return line->dirty;
+  }
+  bool contains(std::uint64_t addr) { return find(addr) != nullptr; }
+  const CacheStats& stats() const { return stats_; }
+
+ private:
+  struct Line {
+    std::uint64_t tag = 0;
+    std::uint64_t lru = 0;
+    bool valid = false;
+    bool dirty = false;
+  };
+
+  Line* find(std::uint64_t addr) {
+    const std::size_t set = (addr / cfg_.line_bytes) % num_sets_;
+    const std::uint64_t tag = addr / cfg_.line_bytes / num_sets_;
+    for (unsigned w = 0; w < cfg_.ways; ++w) {
+      Line& line = lines_[set * cfg_.ways + w];
+      if (line.valid && line.tag == tag) return &line;
+    }
+    return nullptr;
+  }
+
+  CacheConfig cfg_;
+  std::size_t num_sets_;
+  std::vector<Line> lines_;
+  std::uint64_t tick_ = 0;
+  CacheStats stats_;
+};
+
+struct NamedCacheConfig {
+  const char* name;
+  CacheConfig cfg;
+};
+
+void PrintTo(const NamedCacheConfig& c, std::ostream* os) { *os << c.name; }
+
+class CacheDifferential : public ::testing::TestWithParam<NamedCacheConfig> {};
+
+// 2^20 seeded reads and writes through Cache and the dividing reference in
+// lockstep: recent-address reuse, sequential streams, uniform traffic over
+// 4x the capacity and a few far-away regions with large tags, plus sampled
+// contains() and invalidate() calls (which leave invalid ways mid-set).
+TEST_P(CacheDifferential, MatchesDividingTrueLru) {
+  const CacheConfig cfg = GetParam().cfg;
+  Cache cache(cfg);
+  DividingLruCache ref(cfg);
+  Rng rng(0xcac4e5eedULL ^ cfg.size_bytes ^ cfg.line_bytes);
+  const std::uint64_t span = 4 * cfg.size_bytes;
+  const std::uint64_t far_bases[] = {rng() & ~(span - 1), rng() & ~(span - 1),
+                                     ~std::uint64_t{0} & ~(span - 1)};
+  std::vector<std::uint64_t> recent(64, 0);
+  std::uint64_t addr = 0;
+  constexpr std::size_t kAccesses = std::size_t{1} << 20;
+  for (std::size_t i = 0; i < kAccesses; ++i) {
+    const std::uint64_t pick = rng.below(10);
+    if (pick < 4)
+      addr = recent[rng.below(recent.size())] + rng.below(cfg.line_bytes);
+    else if (pick < 8)
+      addr = rng.below(span);
+    else if (pick < 9)
+      addr += 8;
+    else
+      addr = far_bases[rng.below(3)] + rng.below(cfg.size_bytes);
+    recent[i % recent.size()] = addr;
+    const bool is_write = rng.below(10) < 3;
+
+    const CacheAccess got = cache.access(addr, is_write);
+    const CacheAccess want = ref.access(addr, is_write);
+    ASSERT_EQ(got.hit, want.hit) << "access " << i << " addr " << addr;
+    ASSERT_EQ(got.evicted, want.evicted) << "access " << i;
+    ASSERT_EQ(got.evicted_dirty, want.evicted_dirty) << "access " << i;
+    ASSERT_EQ(got.evicted_line_addr, want.evicted_line_addr) << "access " << i;
+
+    if (i % 97 == 0) {
+      const std::uint64_t probe = recent[rng.below(recent.size())];
+      ASSERT_EQ(cache.contains(probe), ref.contains(probe)) << "access " << i;
+    }
+    if (i % 1009 == 0) {
+      const std::uint64_t victim = recent[rng.below(recent.size())];
+      ASSERT_EQ(cache.invalidate(victim), ref.invalidate(victim))
+          << "access " << i;
+    }
+  }
+  const CacheStats& a = cache.stats();
+  const CacheStats& b = ref.stats();
+  EXPECT_EQ(a.accesses, b.accesses);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.dirty_evictions, b.dirty_evictions);
+  // The traffic must exercise every path being compared.
+  EXPECT_GT(a.hits, 0u);
+  EXPECT_GT(a.dirty_evictions, 0u);
+  EXPECT_GT(a.evictions, a.dirty_evictions);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, CacheDifferential,
+    ::testing::Values(
+        NamedCacheConfig{"small", small_cache()},
+        NamedCacheConfig{"table3_l1", SystemConfig::table3().l1},
+        NamedCacheConfig{"table3_l2", SystemConfig::table3().l2},
+        NamedCacheConfig{"scaled8_l1", SystemConfig::scaled(8).l1},
+        NamedCacheConfig{"scaled8_l2", SystemConfig::scaled(8).l2},
+        NamedCacheConfig{"scaled32_l2", SystemConfig::scaled(32).l2},
+        NamedCacheConfig{"two_way_128b_lines", CacheConfig{4096, 2, 128, 1}}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST(Cache, LineSizeMustBeAPowerOfTwo) {
+  // 8 sets of 2 ways: only the 48-byte line breaks the contract.
+  const CacheConfig cfg{48 * 8 * 2, 2, 48, 1};
+  EXPECT_THROW(Cache{cfg}, ContractViolation);
 }
 
 class AddressMapRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};

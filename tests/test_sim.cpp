@@ -19,10 +19,9 @@ struct Rig {
   memsim::MemorySystem sys;
   os::Os os;
   TapContext ctx;
-  Rig()
-      : sys(memsim::SystemConfig::scaled(8), ecc::Scheme::kChipkill),
-        os(sys),
-        ctx(os, sys) {}
+  explicit Rig(
+      const memsim::SystemConfig& cfg = memsim::SystemConfig::scaled(8))
+      : sys(cfg, ecc::Scheme::kChipkill), os(sys), ctx(os, sys) {}
 };
 
 TEST(MemoryTapTest, RegisteredRegionTranslatesToItsFrames) {
@@ -70,6 +69,21 @@ TEST(MemoryTapTest, StraddlingReferenceTouchesBothLines) {
   MemoryTap tap(rig.ctx);
   tap.read(p + 60, 8);  // crosses the 64B boundary
   EXPECT_EQ(rig.sys.stats().mem_refs, 2u);
+}
+
+// The straddle split follows the L1 line size, not a fixed 64 bytes.
+TEST(MemoryTapTest, StraddleSplitUsesTheL1LineSize) {
+  memsim::SystemConfig cfg = memsim::SystemConfig::scaled(8);
+  cfg.l1.line_bytes = 128;
+  cfg.l2.line_bytes = 128;
+  Rig rig(cfg);
+  auto* p = static_cast<std::uint8_t*>(
+      rig.os.malloc_ecc(4096, ecc::Scheme::kNone, "m", true));
+  MemoryTap tap(rig.ctx);
+  tap.read(p + 60, 8);  // inside one 128B line
+  EXPECT_EQ(rig.sys.stats().mem_refs, 1u);
+  tap.read(p + 124, 8);  // crosses the 128B boundary
+  EXPECT_EQ(rig.sys.stats().mem_refs, 3u);
 }
 
 TEST(MemoryTapTest, CopiedHandlesShareState) {
