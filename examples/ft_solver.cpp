@@ -23,7 +23,7 @@ bool demo_ft_cg() {
   Rng rng(5);
   linalg::LinearSystem sys = linalg::make_spd_system(n, rng);
 
-  std::vector<double> b = sys.b, x(n, 0.0), r(n), z(n), p(n), q(n);
+  std::vector<double> b = sys.b, x(n, 0.0), r(n), z(n), p(n), q(n), w(4 * n);
   linalg::CgOptions copt;
   copt.max_iterations = 4 * n;
   copt.tolerance = 1e-11;
@@ -45,7 +45,7 @@ bool demo_ft_cg() {
       }
     }
   };
-  abft::FtCg ft(sys.a.view(), b, {x, r, z, p, q}, copt);
+  abft::FtCg ft(sys.a.view(), b, {x, r, z, p, q, w}, copt);
   std::uint64_t refs = 0;
   CorruptOnce tap{&r[100], &refs};
   const abft::FtCgResult res = ft.run(tap);

@@ -43,6 +43,8 @@ struct FtStats {
   std::uint64_t errors_corrected = 0;
   std::uint64_t hw_notifications_used = 0;  ///< simplified-verification hits
 
+  friend bool operator==(const FtStats&, const FtStats&) = default;
+
   [[nodiscard]] double overhead_seconds() const {
     return encode_seconds + verify_seconds + correct_seconds;
   }

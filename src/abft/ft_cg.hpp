@@ -18,10 +18,10 @@
 // error log is empty -- the largest simplified-verification win of Table 1.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "abft/checksum.hpp"
 #include "abft/common.hpp"
@@ -43,6 +43,11 @@ class FtCg {
     std::span<double> z;
     std::span<double> p;
     std::span<double> q;
+    /// 4n doubles of kernel-private scratch: the preconditioner's inverse
+    /// diagonal, the two static column checksums of A, and the verify
+    /// residual d. A simulated run places it in node memory so its
+    /// addresses do not depend on the host heap.
+    std::span<double> workspace;
   };
 
   FtCg(MatrixView a, std::span<double> b, Buffers buf,
@@ -53,7 +58,7 @@ class FtCg {
     ABFTECC_REQUIRE(a.cols() == n && b.size() == n);
     ABFTECC_REQUIRE(buf.x.size() == n && buf.r.size() == n &&
                     buf.z.size() == n && buf.p.size() == n &&
-                    buf.q.size() == n);
+                    buf.q.size() == n && buf.workspace.size() == 4 * n);
     if (rt_ != nullptr) {
       ids_[0] = rt_->register_structure("ft_cg.x", buf.x.data(), n);
       ids_[1] = rt_->register_structure("ft_cg.r", buf.r.data(), n);
@@ -82,7 +87,7 @@ class FtCg {
   template <MemTap Tap = NullTap>
   FtCgResult run(Tap tap = {}) {
     const std::size_t n = b_.size();
-    linalg::JacobiPreconditioner m{ConstMatrixView(a_)};
+    linalg::JacobiPreconditioner m{ConstMatrixView(a_), scratch(0)};
     encode_b(tap);
     encode_a(tap);
 
@@ -180,10 +185,9 @@ class FtCg {
   void encode_a(Tap tap) {
     PhaseTimer t(stats_.encode_seconds, clock_);
     ScopedPhase phase(rt_, obs::EventKind::kEncode, "ft_cg.encode");
-    const std::size_t n = a_.cols();
-    a_sum_.assign(n, 0.0);
-    a_weighted_.assign(n, 0.0);
-    column_checksums(ConstMatrixView(a_), a_sum_, a_weighted_, 0, tap);
+    std::fill(a_sum().begin(), a_sum().end(), 0.0);
+    std::fill(a_weighted().begin(), a_weighted().end(), 0.0);
+    column_checksums(ConstMatrixView(a_), a_sum(), a_weighted(), 0, tap);
   }
 
   /// Verify/repair A against its static checksums. Returns false on an
@@ -192,8 +196,9 @@ class FtCg {
   bool verify_a(Tap tap) {
     const double a_scale = scale_ > 0.0 ? scale_ : 1.0;
     const auto errors =
-        verify_columns(ConstMatrixView(a_), a_sum_, a_weighted_,
-                       opt_.tolerance, a_scale, 0, tap);
+        verify_columns(ConstMatrixView(a_), std::span<const double>(a_sum()),
+                       std::span<const double>(a_weighted()), opt_.tolerance,
+                       a_scale, 0, tap);
     if (errors.empty()) return true;
     PhaseTimer t(stats_.correct_seconds, clock_);
     ScopedPhase sp(rt_, obs::EventKind::kRecover, "ft_cg.correct");
@@ -271,7 +276,8 @@ class FtCg {
       a_was_repaired = stats_.errors_corrected != corrected_before;
     }
     // d = b - A x - r; any corruption of r, q or x breaks it.
-    std::vector<double> d(b_.size());
+    const std::span<double> d = scratch(3);
+    std::fill(d.begin(), d.end(), 0.0);
     linalg::gemv(-1.0, a_, buf_.x, 0.0, d, tap);
     linalg::axpy(1.0, std::span<const double>(b_), d, tap);
     linalg::axpy(-1.0, std::span<const double>(buf_.r), d, tap);
@@ -323,8 +329,16 @@ class FtCg {
   /// with the backend's clock.
   TickClock clock_ = rt_ != nullptr ? rt_->clock() : TickClock{};
   std::size_t ids_[6] = {};
+  /// Slice `i` of the 4n workspace: 0 inverse diagonal, 1 column sums of
+  /// A, 2 weighted column sums of A, 3 verify residual.
+  [[nodiscard]] std::span<double> scratch(std::size_t i) const {
+    const std::size_t n = b_.size();
+    return buf_.workspace.subspan(i * n, n);
+  }
+  [[nodiscard]] std::span<double> a_sum() const { return scratch(1); }
+  [[nodiscard]] std::span<double> a_weighted() const { return scratch(2); }
+
   double b_sum_ = 0.0, b_weighted_ = 0.0;
-  std::vector<double> a_sum_, a_weighted_;
   static constexpr std::size_t kMatrixCheckInterval = 4;
   std::size_t verifies_since_a_check_ = kMatrixCheckInterval - 1;
   double scale_ = 1.0;

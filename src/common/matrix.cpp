@@ -19,17 +19,22 @@ Matrix Matrix::random(std::size_t rows, std::size_t cols, Rng& rng, double lo,
 }
 
 Matrix Matrix::random_spd(std::size_t n, Rng& rng) {
-  Matrix r = random(n, n, rng);
-  Matrix a(n, n);
   // A = R R^T + n I ensures eigenvalues >= n - ||R R^T|| margin; diagonal
   // dominance keeps Cholesky well-conditioned for any seed.
+  //
+  // R is drawn column by column, in random()'s order, and summed in as
+  // rank-1 updates, so only one column of R is ever held and the update
+  // runs at unit stride. Each a(i, j) still adds its terms in k order, so
+  // the result is the same bits as the dot-product form.
+  Matrix a(n, n);
+  std::vector<double> r(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    for (double& v : r) v = rng.uniform(-1.0, 1.0);
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t i = 0; i <= j; ++i) a(i, j) += r[i] * r[j];
+  }
   for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i <= j; ++i) {
-      double s = 0.0;
-      for (std::size_t k = 0; k < n; ++k) s += r(i, k) * r(j, k);
-      a(i, j) = s;
-      a(j, i) = s;
-    }
+    for (std::size_t i = 0; i < j; ++i) a(j, i) = a(i, j);
     a(j, j) += static_cast<double>(n);
   }
   return a;

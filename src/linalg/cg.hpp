@@ -25,10 +25,14 @@ struct CgOptions {
 };
 
 /// Jacobi (diagonal) preconditioner M = diag(A): the M of the paper's
-/// Figure 1 line 7, solved trivially per element.
+/// Figure 1 line 7, solved trivially per element. The inverse diagonal
+/// lives in caller-provided storage (n doubles), so a simulated run can
+/// place it in node memory next to the other CG vectors.
 class JacobiPreconditioner {
  public:
-  explicit JacobiPreconditioner(ConstMatrixView a) : inv_diag_(a.rows()) {
+  JacobiPreconditioner(ConstMatrixView a, std::span<double> inv_diag)
+      : inv_diag_(inv_diag) {
+    ABFTECC_REQUIRE(inv_diag.size() == a.rows());
     for (std::size_t i = 0; i < a.rows(); ++i) {
       const double d = a(i, i);
       inv_diag_[i] = (d != 0.0) ? 1.0 / d : 1.0;
@@ -52,7 +56,7 @@ class JacobiPreconditioner {
   }
 
  private:
-  std::vector<double> inv_diag_;
+  std::span<double> inv_diag_;
 };
 
 /// Working vectors for PCG; exposed so the ABFT wrapper can place them in
@@ -94,8 +98,8 @@ CgResult pcg_solve(ConstMatrixView a, std::span<const double> b,
                    Tap tap = {}) {
   const std::size_t n = b.size();
   ABFTECC_REQUIRE(a.rows() == n && a.cols() == n && x.size() == n);
-  std::vector<double> r(n), z(n), p(n), q(n);
-  JacobiPreconditioner m(a);
+  std::vector<double> r(n), z(n), p(n), q(n), inv_diag(n);
+  JacobiPreconditioner m(a, inv_diag);
 
   // r0 = b - A x0
   gemv(-1.0, a, x, 0.0, r, tap);

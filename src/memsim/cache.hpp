@@ -16,6 +16,8 @@ struct CacheStats {
   std::uint64_t evictions = 0;
   std::uint64_t dirty_evictions = 0;
 
+  friend bool operator==(const CacheStats&, const CacheStats&) = default;
+
   [[nodiscard]] double miss_rate() const {
     return accesses == 0 ? 0.0
                          : static_cast<double>(misses) /

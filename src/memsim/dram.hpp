@@ -54,6 +54,8 @@ struct DramStats {
   std::uint64_t row_hits = 0;
   std::uint64_t row_misses = 0;
 
+  friend bool operator==(const DramStats&, const DramStats&) = default;
+
   [[nodiscard]] double row_hit_rate() const {
     const auto total = row_hits + row_misses;
     return total == 0 ? 0.0

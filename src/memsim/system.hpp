@@ -41,6 +41,8 @@ struct SystemStats {
   Picojoules dram_dynamic_abft_pj = 0;   ///< dynamic energy on ABFT blocks
   Picojoules dram_dynamic_other_pj = 0;
 
+  friend bool operator==(const SystemStats&, const SystemStats&) = default;
+
   [[nodiscard]] double ipc() const {
     return cpu_cycles == 0 ? 0.0
                            : static_cast<double>(instructions) /

@@ -339,7 +339,7 @@ const JsonValue* JsonValue::find(std::string_view key) const {
 
 std::optional<JsonValue> json_parse(std::string_view text,
                                     std::string* error) {
-  Parser p{text};
+  Parser p{text, 0, {}};
   JsonValue v;
   if (!p.parse_value(&v, 0)) {
     if (error != nullptr) *error = p.err;

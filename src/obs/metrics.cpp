@@ -41,6 +41,15 @@ void Histogram::reset() {
   max_ = 0.0;
 }
 
+void Histogram::merge(const Histogram& o) {
+  ABFTECC_REQUIRE(bounds_ == o.bounds_);
+  for (std::size_t i = 0; i < buckets_.size(); ++i)
+    buckets_[i] += o.buckets_[i];
+  max_ = std::max(max_, o.max_);
+  count_ += o.count_;
+  sum_ += o.sum_;
+}
+
 Counter& Registry::counter(std::string_view name) {
   const auto it = counters_.find(name);
   if (it != counters_.end()) return *it->second;
@@ -69,6 +78,13 @@ void Registry::reset() {
   for (auto& [_, c] : counters_) c->reset();
   for (auto& [_, g] : gauges_) g->reset();
   for (auto& [_, h] : histograms_) h->reset();
+}
+
+void Registry::merge(const Registry& o) {
+  for (const auto& [name, c] : o.counters_) counter(name).add(c->value());
+  for (const auto& [name, g] : o.gauges_) gauge(name).add(g->value());
+  for (const auto& [name, h] : o.histograms_)
+    histogram(name, h->bounds()).merge(*h);
 }
 
 MetricsSnapshot Registry::snapshot() const {

@@ -78,6 +78,7 @@ class Histogram {
   [[nodiscard]] double mean() const {
     return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
   }
+  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
   /// Number of buckets including the overflow bucket.
   [[nodiscard]] std::size_t num_buckets() const { return buckets_.size(); }
   /// Inclusive upper bound of bucket `i`; +inf for the overflow bucket.
@@ -87,6 +88,9 @@ class Histogram {
   }
 
   void reset();
+
+  /// Add `o`'s observations into this histogram (same bounds required).
+  void merge(const Histogram& o);
 
  private:
   std::vector<double> bounds_;       ///< sorted, strictly increasing
@@ -123,6 +127,12 @@ class Registry {
   /// Zero every instrument's values; registrations (and cached references)
   /// stay valid.
   void reset();
+
+  /// Fold `o` into this registry, registering names it lacks: counters,
+  /// gauges and histograms add. Folding per-node registries in node order
+  /// gives the registry a serial run over the same nodes would have built,
+  /// exactly so for integer counts and integer-valued observations.
+  void merge(const Registry& o);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
   [[nodiscard]] std::size_t size() const {

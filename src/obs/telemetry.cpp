@@ -145,7 +145,7 @@ std::string openmetrics_name(std::string_view raw) {
                     (c >= '0' && c <= '9') || c == '_' || c == ':';
     out.push_back(ok ? c : '_');
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   if (out[0] >= '0' && out[0] <= '9') out.insert(out.begin(), '_');
   return out;
 }

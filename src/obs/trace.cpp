@@ -71,7 +71,8 @@ Tracer::Tracer(std::size_t capacity) { set_capacity(capacity); }
 
 void Tracer::set_capacity(std::size_t capacity) {
   ABFTECC_REQUIRE(capacity > 0);
-  ring_.assign(capacity, TraceEvent{});
+  capacity_ = capacity;
+  ring_ = {};
   head_ = 0;
   count_ = 0;
   next_seq_ = 0;
@@ -85,7 +86,14 @@ void Tracer::clear() {
   dropped_ = 0;
 }
 
+void Tracer::append(const Tracer& o) {
+  next_seq_ += o.dropped_;
+  dropped_ += o.dropped_;
+  for (const TraceEvent& e : o.snapshot()) push(e);
+}
+
 void Tracer::push(const TraceEvent& e) {
+  if (ring_.empty()) ring_.resize(capacity_);
   TraceEvent& slot = ring_[head_];
   if (count_ == ring_.size())
     ++dropped_;  // overwriting the oldest survivor
@@ -98,6 +106,7 @@ void Tracer::push(const TraceEvent& e) {
 
 std::vector<TraceEvent> Tracer::snapshot() const {
   std::vector<TraceEvent> out;
+  if (count_ == 0) return out;
   out.reserve(count_);
   const std::size_t start =
       (head_ + ring_.size() - count_) % ring_.size();

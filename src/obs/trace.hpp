@@ -8,7 +8,9 @@
 // point when disabled (the acceptance bar: no measurable overhead on the
 // micro_kernels suite). When enabled, recording is a bounded-memory ring
 // write: the buffer never grows, old events are overwritten and counted
-// in dropped().
+// in dropped(). The ring is allocated on the first recorded event, so a
+// tracer that never records (every private Session's, by default) costs
+// no memory.
 //
 // Export: Chrome trace_event JSON, loadable in chrome://tracing and
 // Perfetto. One simulated cycle is written as one microsecond of trace
@@ -104,6 +106,12 @@ class Tracer {
   void set_capacity(std::size_t capacity);
   void clear();
 
+  /// Record `o`'s surviving events after this tracer's, renumbered as if
+  /// they had been recorded here; events `o` dropped count as dropped here
+  /// too. Appending per-node tracers in node order reproduces the ring a
+  /// serial run over those nodes would have left.
+  void append(const Tracer& o);
+
   void instant(EventKind kind, std::uint64_t ts, std::uint64_t addr = 0,
                std::uint64_t a0 = 0, std::uint64_t a1 = 0,
                const char* tag = nullptr) {
@@ -119,7 +127,7 @@ class Tracer {
   }
 
   [[nodiscard]] std::size_t size() const { return count_; }
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
   /// Events overwritten because the ring wrapped.
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   /// Total events ever recorded (survivors + dropped).
@@ -138,7 +146,8 @@ class Tracer {
  private:
   void push(const TraceEvent& e);
 
-  std::vector<TraceEvent> ring_;
+  std::vector<TraceEvent> ring_;  ///< empty until the first push
+  std::size_t capacity_ = 0;
   std::size_t head_ = 0;   ///< next write slot
   std::size_t count_ = 0;  ///< survivors (<= capacity)
   std::uint64_t next_seq_ = 0;

@@ -4,11 +4,24 @@
 
 namespace abftecc::os {
 
+namespace {
+
+constexpr std::uint8_t kInUse = 1;
+constexpr std::uint8_t kRetired = 2;
+constexpr unsigned kEccShift = 2;
+
+constexpr std::uint8_t ecc_bits(ecc::Scheme s) {
+  return static_cast<std::uint8_t>(static_cast<unsigned>(s) << kEccShift);
+}
+
+}  // namespace
+
 PageAllocator::PageAllocator(std::uint64_t capacity_bytes,
                              std::uint64_t page_bytes)
     : page_bytes_(page_bytes) {
   ABFTECC_REQUIRE(page_bytes > 0 && capacity_bytes % page_bytes == 0);
-  frames_.resize(capacity_bytes / page_bytes);
+  frames_.assign(capacity_bytes / page_bytes,
+                 ecc_bits(PageFrame{}.ecc_type));
 }
 
 std::optional<std::uint64_t> PageAllocator::allocate_contiguous(
@@ -21,13 +34,11 @@ std::optional<std::uint64_t> PageAllocator::allocate_contiguous(
     const std::uint64_t end = pass == 0 ? frames_.size() : search_hint_;
     std::uint64_t run = 0;
     for (std::uint64_t i = begin; i + 1 <= end; ++i) {
-      run = (frames_[i].in_use || frames_[i].retired) ? 0 : run + 1;
+      run = (frames_[i] & (kInUse | kRetired)) != 0 ? 0 : run + 1;
       if (run == count) {
         const std::uint64_t first = i + 1 - count;
-        for (std::uint64_t f = first; f <= i; ++f) {
-          frames_[f].in_use = true;
-          frames_[f].ecc_type = ecc_type;
-        }
+        for (std::uint64_t f = first; f <= i; ++f)
+          frames_[f] = kInUse | ecc_bits(ecc_type);
         in_use_ += count;
         search_hint_ = (i + 1) % frames_.size();
         return first * page_bytes_;
@@ -42,9 +53,9 @@ void PageAllocator::free_range(std::uint64_t phys_base, std::uint64_t count) {
   const std::uint64_t first = phys_base / page_bytes_;
   ABFTECC_REQUIRE(first + count <= frames_.size());
   for (std::uint64_t f = first; f < first + count; ++f) {
-    if (frames_[f].retired) continue;  // already pulled out of service
-    ABFTECC_REQUIRE(frames_[f].in_use);
-    frames_[f].in_use = false;
+    if ((frames_[f] & kRetired) != 0) continue;  // pulled out of service
+    ABFTECC_REQUIRE((frames_[f] & kInUse) != 0);
+    frames_[f] &= ~kInUse;
     --in_use_;
   }
 }
@@ -54,27 +65,29 @@ void PageAllocator::set_ecc_type(std::uint64_t phys_base, std::uint64_t count,
   const std::uint64_t first = phys_base / page_bytes_;
   ABFTECC_REQUIRE(first + count <= frames_.size());
   for (std::uint64_t f = first; f < first + count; ++f) {
-    ABFTECC_REQUIRE(frames_[f].in_use);
-    frames_[f].ecc_type = ecc_type;
+    ABFTECC_REQUIRE((frames_[f] & kInUse) != 0);
+    frames_[f] = (frames_[f] & (kInUse | kRetired)) | ecc_bits(ecc_type);
   }
 }
 
 void PageAllocator::retire_frame(std::uint64_t phys_addr) {
   const std::uint64_t f = phys_addr / page_bytes_;
   ABFTECC_REQUIRE(f < frames_.size());
-  if (frames_[f].retired) return;
-  if (frames_[f].in_use) {
-    frames_[f].in_use = false;
+  if ((frames_[f] & kRetired) != 0) return;
+  if ((frames_[f] & kInUse) != 0) {
+    frames_[f] &= ~kInUse;
     --in_use_;
   }
-  frames_[f].retired = true;
+  frames_[f] |= kRetired;
   ++retired_;
 }
 
-const PageFrame& PageAllocator::frame_at(std::uint64_t phys_addr) const {
+PageFrame PageAllocator::frame_at(std::uint64_t phys_addr) const {
   const std::uint64_t f = phys_addr / page_bytes_;
   ABFTECC_REQUIRE(f < frames_.size());
-  return frames_[f];
+  const std::uint8_t b = frames_[f];
+  return {(b & kInUse) != 0, (b & kRetired) != 0,
+          static_cast<ecc::Scheme>(b >> kEccShift)};
 }
 
 }  // namespace abftecc::os

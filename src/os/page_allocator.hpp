@@ -13,6 +13,7 @@
 
 namespace abftecc::os {
 
+/// Decoded state of one frame (PageAllocator stores it packed in a byte).
 struct PageFrame {
   bool in_use = false;
   bool retired = false;  ///< hard-fault frame, never allocated again
@@ -40,7 +41,7 @@ class PageAllocator {
   /// again.
   void retire_frame(std::uint64_t phys_addr);
 
-  [[nodiscard]] const PageFrame& frame_at(std::uint64_t phys_addr) const;
+  [[nodiscard]] PageFrame frame_at(std::uint64_t phys_addr) const;
   [[nodiscard]] std::uint64_t page_bytes() const { return page_bytes_; }
   [[nodiscard]] std::uint64_t total_frames() const { return frames_.size(); }
   [[nodiscard]] std::uint64_t frames_in_use() const { return in_use_; }
@@ -48,7 +49,9 @@ class PageAllocator {
 
  private:
   std::uint64_t page_bytes_;
-  std::vector<PageFrame> frames_;
+  /// One byte per frame, since every Session keeps a table of all of
+  /// them: bit 0 in use, bit 1 retired, bits 2-3 the ECC scheme.
+  std::vector<std::uint8_t> frames_;
   std::uint64_t in_use_ = 0;
   std::uint64_t retired_ = 0;
   std::uint64_t search_hint_ = 0;

@@ -57,6 +57,8 @@ struct RecoveryStats {
   /// (each would have been an Os::panic without it).
   std::uint64_t escalations = 0;
   std::uint64_t unrecoverable = 0;
+
+  friend bool operator==(const RecoveryStats&, const RecoveryStats&) = default;
 };
 
 /// Fletcher-64 over bytes (two running 32-bit sums, modulo 2^32 - 1).

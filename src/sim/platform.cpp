@@ -410,13 +410,15 @@ struct Session::Impl {
     const std::size_t n = dim;
     Rng rng(opt.seed);
     linalg::LinearSystem lin = linalg::make_spd_system(n, rng);
-    Matrix vecs(n, 5);
+    Matrix vecs(n, 5), ws(n, 4);
     vecs.view().fill(0.0);
     NativeRegion ra(native, lin.a.view(), "cg.A", true);
     NativeRegion rv(native, vecs.view(), "cg.vectors", true);
+    NativeRegion rw(native, ws.view(), "cg.workspace", false);
     abft::FtCg::Buffers buf{vecs.view().col(0), vecs.view().col(1),
                             vecs.view().col(2), vecs.view().col(3),
-                            vecs.view().col(4)};
+                            vecs.view().col(4),
+                            {ws.view().data(), 4 * n}};
     linalg::CgOptions cg_opt;
     cg_opt.max_iterations = iterations;
     cg_opt.tolerance = 1e-30;  // representative phase: run exactly N iters
@@ -432,7 +434,7 @@ struct Session::Impl {
     capture(std::span<const double>(vecs.view().col(0).data(), n));
     return collect_native(Kernel::kCg, ft.stats(), st, seconds,
                           (n * n + 6 * n) * sizeof(double),
-                          (n * n + 6 * n) * sizeof(double));
+                          (n * n + 10 * n) * sizeof(double));
   }
 
   RunMetrics run_hpl_native() {
@@ -462,15 +464,17 @@ struct Session::Impl {
   RunMetrics run_dgemm() {
     const ecc::Scheme abft_scheme = spec(opt.strategy).abft_scheme;
     const std::size_t n = opt.dgemm_dim;
-    Rng rng(opt.seed);
-    Matrix a_host = Matrix::random(n, n, rng);
-    Matrix b_host = Matrix::random(n, n, rng);
 
     // Inputs are consumed once during encoding and are not ABFT-protected.
+    // Each is generated straight into its copy, one host temporary at a
+    // time.
     MatrixView a = plain_matrix(n, n, "dgemm.A");
     MatrixView b = plain_matrix(n, n, "dgemm.B");
-    copy_into(a, a_host.view());
-    copy_into(b, b_host.view());
+    {
+      Rng rng(opt.seed);
+      copy_into(a, Matrix::random(n, n, rng).view());
+      copy_into(b, Matrix::random(n, n, rng).view());
+    }
 
     abft::FtDgemm::Buffers buf{abft_matrix(n + 1, n, abft_scheme, "dgemm.Ac"),
                                abft_matrix(n, n + 1, abft_scheme, "dgemm.Br"),
@@ -506,6 +510,7 @@ struct Session::Impl {
 
     MatrixView a = abft_matrix(n, n, abft_scheme, "cholesky.A");
     copy_into(a, a_host.view());
+    a_host = {};  // copied in: free the host input before the run
     MatrixView chk = abft_matrix(n, 2, abft_scheme, "cholesky.checksums");
     abft::FtCholesky::Buffers buf{a, chk.col(0), chk.col(1)};
     abft::FtCholesky ft(buf, ft_options(opt), rt.get());
@@ -529,9 +534,13 @@ struct Session::Impl {
     MatrixView vecs = abft_matrix(n, 5, abft_scheme, "cg.vectors");
     std::span<double> b = abft_vector(n, abft_scheme, "cg.b");
     for (std::size_t i = 0; i < n; ++i) b[i] = lin.b[i];
+    lin = {};  // copied in: free the host inputs before the run
+    // The kernel's scratch (preconditioner, checksums of A, verify
+    // residual) is plain memory under the node's default scheme.
+    MatrixView ws = plain_matrix(n, 4, "cg.workspace");
 
     abft::FtCg::Buffers buf{vecs.col(0), vecs.col(1), vecs.col(2),
-                            vecs.col(3), vecs.col(4)};
+                            vecs.col(3), vecs.col(4), {ws.data(), 4 * n}};
     vecs.fill(0.0);
     linalg::CgOptions cg_opt;
     cg_opt.max_iterations = iterations;
@@ -559,6 +568,7 @@ struct Session::Impl {
                              abft_matrix(h, n + 1, abft_scheme, "hpl.Uc")};
     abft::FtHpl ft(lin.a.view(), lin.b, opt.hpl_processes, buf,
                    ft_options(opt), rt.get());
+    lin = {};  // encoded into Ae: the host copy is not needed for the run
     obs::PhaseScope compute(obs::Phase::kCompute);
     SimBackend be(*ctx, *sys);
     const abft::FtStatus st = ft.factor(be);

@@ -117,6 +117,9 @@ struct RunMetrics {
   /// "dropped under storm" from "lost" when chasing orphans.
   std::uint64_t exposed_dropped = 0;
 
+  /// Field for field, doubles bit-exact: simulated runs are deterministic.
+  friend bool operator==(const RunMetrics&, const RunMetrics&) = default;
+
   [[nodiscard]] Picojoules memory_pj() const {
     return mem_dynamic_pj + mem_standby_pj;
   }

@@ -75,6 +75,12 @@ class TapContext {
 
   [[nodiscard]] std::uint64_t refs_abft() const { return refs_abft_; }
   [[nodiscard]] std::uint64_t refs_other() const { return refs_other_; }
+  /// Host pages referenced outside every Os region so far. Their simulated
+  /// addresses follow host heap layout, so a kernel whose cycles must
+  /// depend only on config and seed keeps this at 0.
+  [[nodiscard]] std::size_t anonymous_pages() const {
+    return anon_pages_.size();
+  }
 
  private:
   std::uint64_t anonymous_phys(std::uintptr_t addr) {

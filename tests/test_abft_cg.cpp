@@ -11,7 +11,7 @@ namespace {
 
 struct Fix {
   linalg::LinearSystem sys;
-  std::vector<double> b, x, r, z, p, q;
+  std::vector<double> b, x, r, z, p, q, workspace;
   explicit Fix(std::size_t n, std::uint64_t seed) {
     Rng rng(seed);
     sys = linalg::make_spd_system(n, rng);
@@ -21,8 +21,9 @@ struct Fix {
     z.assign(n, 0.0);
     p.assign(n, 0.0);
     q.assign(n, 0.0);
+    workspace.assign(4 * n, 0.0);
   }
-  FtCg::Buffers buffers() { return {x, r, z, p, q}; }
+  FtCg::Buffers buffers() { return {x, r, z, p, q, workspace}; }
   [[nodiscard]] double solution_error() const {
     double m = 0.0;
     for (std::size_t i = 0; i < x.size(); ++i)

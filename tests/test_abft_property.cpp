@@ -100,11 +100,11 @@ TEST_P(CgRandomInjection, ConvergesToTrueSolutionDespiteFault) {
   Rng rng(2000 + seed);
   const std::size_t n = 128;
   linalg::LinearSystem sys = linalg::make_spd_system(n, rng);
-  std::vector<double> b = sys.b, x(n, 0.0), r(n), z(n), p(n), q(n);
+  std::vector<double> b = sys.b, x(n, 0.0), r(n), z(n), p(n), q(n), w(4 * n);
   linalg::CgOptions copt;
   copt.max_iterations = 6 * n;
   copt.tolerance = 1e-11;
-  FtCg ft(sys.a.view(), b, {x, r, z, p, q}, copt);
+  FtCg ft(sys.a.view(), b, {x, r, z, p, q, w}, copt);
 
   std::vector<std::span<double>> targets{x, r, p, q, b};
   auto& victim = targets[rng.below(targets.size())];

@@ -136,20 +136,20 @@ TEST(BackendParity, FtCgNativeMatchesSimBitForBit) {
   linalg::LinearSystem sysn = linalg::make_spd_system(n, r1);
   linalg::LinearSystem syss = linalg::make_spd_system(n, r2);
   std::vector<double> xn(n, 0.0), rn(n, 0.0), zn(n, 0.0), pn(n, 0.0),
-      qn(n, 0.0);
+      qn(n, 0.0), wn(4 * n, 0.0);
   std::vector<double> xs(n, 0.0), rs(n, 0.0), zs(n, 0.0), ps(n, 0.0),
-      qs(n, 0.0);
+      qs(n, 0.0), ws(4 * n, 0.0);
   linalg::CgOptions opt;
   opt.max_iterations = 4 * n;
   opt.tolerance = 1e-12;
 
   NativeBackend nbe;
-  FtCg nft(sysn.a.view(), sysn.b, {xn, rn, zn, pn, qn}, opt);
+  FtCg nft(sysn.a.view(), sysn.b, {xn, rn, zn, pn, qn, wn}, opt);
   const FtCgResult rnat = nft.run(nbe);
   ASSERT_TRUE(rnat.cg.converged);
 
   SimRig rig;
-  FtCg sft(syss.a.view(), syss.b, {xs, rs, zs, ps, qs}, opt);
+  FtCg sft(syss.a.view(), syss.b, {xs, rs, zs, ps, qs, ws}, opt);
   const FtCgResult rsim = sft.run(rig.be);
   ASSERT_TRUE(rsim.cg.converged);
 

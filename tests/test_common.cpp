@@ -101,6 +101,26 @@ TEST(Matrix, RandomSpdIsSymmetricAndDiagonallyHeavy) {
   }
 }
 
+TEST(Matrix, RandomSpdIsExactlyRRtPlusNIFromRandom) {
+  // Reference: R from random() with the same seed, A = R R^T + n I with
+  // each entry a dot product summed in k order. Generated inputs feed the
+  // pinned sweep goldens, so the streaming form must match bit for bit and
+  // leave the generator in the same state.
+  for (const std::size_t n : {1, 5, 33}) {
+    Rng r1(40 + n), r2(40 + n);
+    const Matrix r = Matrix::random(n, n, r1);
+    const Matrix a = Matrix::random_spd(n, r2);
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t i = 0; i < n; ++i) {
+        double s = 0.0;
+        for (std::size_t k = 0; k < n; ++k) s += r(i, k) * r(j, k);
+        if (i == j) s += static_cast<double>(n);
+        EXPECT_EQ(a(i, j), s) << n << ": " << i << "," << j;
+      }
+    EXPECT_EQ(r1(), r2());
+  }
+}
+
 TEST(Matrix, MaxAbsDiffAndFrobenius) {
   Matrix a(2, 2), b(2, 2);
   a(0, 0) = 3.0;

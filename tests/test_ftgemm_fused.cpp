@@ -132,10 +132,10 @@ TEST(FtDgemmFused, PoisonedBitInRegisteredRegionIsCorrected) {
 
 TEST(FtDgemmFused, OddShapesAndPartialPanels) {
   // Dims that are not multiples of panel, jblock, or the SIMD tile.
-  for (const auto [m, n, k] : {std::tuple<std::size_t, std::size_t,
-                                          std::size_t>{33, 29, 70},
-                               {65, 41, 97},
-                               {17, 130, 19}}) {
+  for (const auto& [m, n, k] : {std::tuple<std::size_t, std::size_t,
+                                           std::size_t>{33, 29, 70},
+                                {65, 41, 97},
+                                {17, 130, 19}}) {
     Fix s(m, n, k, 100 + m);
     NativeBackend be;
     FtDgemmFused ft(s.a.view(), s.b.view(), s.c.view(), small_groups());
@@ -151,7 +151,9 @@ TEST(GemmNative, DispatchReportsAKernel) {
   const bool simd = linalg::native_simd_available();
   const std::string name = linalg::native_kernel_name();
   EXPECT_EQ(simd, name == "avx2-fma");
-  if (!simd) EXPECT_EQ(name, "scalar-blocked");
+  if (!simd) {
+    EXPECT_EQ(name, "scalar-blocked");
+  }
 }
 
 }  // namespace

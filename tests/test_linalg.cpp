@@ -376,7 +376,8 @@ TEST(JacobiPreconditioner, InvertsDiagonal) {
   Matrix a(2, 2);
   a(0, 0) = 2.0;
   a(1, 1) = 4.0;
-  JacobiPreconditioner m(a.view());
+  std::vector<double> inv_diag(2);
+  JacobiPreconditioner m(a.view(), inv_diag);
   std::vector<double> r = {2.0, 4.0}, z(2);
   m.apply(r, z);
   EXPECT_DOUBLE_EQ(z[0], 1.0);

@@ -238,6 +238,38 @@ TEST(Metrics, RegistryResetPreservesRegistrationsAfterProfilerPublish) {
   EXPECT_EQ(reg.counter("profile.encode.instructions").value(), 300u);
 }
 
+TEST(Metrics, MergeInNodeOrderEqualsOneSerialRegistry) {
+  // Two nodes recording into one registry, versus one registry each folded
+  // in node order (how the parallel paper sweep combines its cells).
+  const auto bounds = Histogram::exponential_bounds(10.0, 10.0, 3);
+  auto node_a = [&](Registry& r) {
+    r.counter("memsim.refs").add(3);
+    r.gauge("abft.verify_seconds").add(0.5);
+    r.histogram("memsim.stall", bounds).observe(5);
+    r.histogram("memsim.stall", bounds).observe(2000);
+  };
+  auto node_b = [&](Registry& r) {
+    r.counter("memsim.refs").add(4);
+    r.counter("os.panics").add(1);
+    r.histogram("memsim.stall", bounds).observe(50);
+  };
+  Registry serial;
+  node_a(serial);
+  node_b(serial);
+
+  Registry a, b, folded;
+  node_a(a);
+  node_b(b);
+  folded.merge(a);
+  folded.merge(b);
+  EXPECT_EQ(folded.to_json(), serial.to_json());
+  EXPECT_EQ(folded.counter("memsim.refs").value(), 7u);
+  const Histogram& h = folded.histogram("memsim.stall", bounds);
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_EQ(h.max(), 2000.0);
+  EXPECT_EQ(h.bucket_count(3), 1u);  // overflow
+}
+
 TEST(Metrics, SnapshotAndJsonSinkAreWellFormed) {
   Registry reg;
   reg.counter("a.hits").add(3);
@@ -317,6 +349,59 @@ TEST(Trace, SetCapacityResizesAndClears) {
   EXPECT_EQ(t.capacity(), 16u);
   t.instant(EventKind::kPanic, 2);
   EXPECT_EQ(t.size(), 1u);
+}
+
+TEST(Trace, RingIsAllocatedOnFirstRecordedEvent) {
+  // Every private Session owns a tracer; one that never records must not
+  // cost a ring, but it reports the configured capacity all along.
+  Tracer t(4);
+  EXPECT_EQ(t.capacity(), 4u);
+  EXPECT_TRUE(t.snapshot().empty());
+  EXPECT_TRUE(json_valid(t.chrome_trace_json()));
+  t.enable();
+  t.set_mask(~kind_bit(EventKind::kDemandMiss));
+  t.instant(EventKind::kDemandMiss, 1, 0x40);  // masked: nothing recorded
+  EXPECT_TRUE(t.snapshot().empty());
+  EXPECT_EQ(t.capacity(), 4u);
+  for (std::uint64_t i = 0; i < 6; ++i)
+    t.instant(EventKind::kEccInterrupt, 10 + i, 0x80);
+  const auto events = t.snapshot();
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events.front().ts, 12u);
+  EXPECT_EQ(t.dropped(), 2u);
+  EXPECT_EQ(t.capacity(), 4u);
+}
+
+TEST(Trace, AppendInNodeOrderEqualsOneSerialRing) {
+  // Node A overflows its own ring; node B does not. Appending the two
+  // per-node rings must leave what one ring recording both would hold.
+  auto node_a = [](Tracer& t) {
+    for (std::uint64_t i = 0; i < 7; ++i)
+      t.instant(EventKind::kDemandMiss, 100 + i, 64 * i);
+  };
+  auto node_b = [](Tracer& t) {
+    t.instant(EventKind::kEccInterrupt, 5, 0x80);
+    t.complete(EventKind::kVerify, "ft_test.verify", 6, 3);
+  };
+  Tracer serial(4), a(4), b(4), folded(4);
+  for (Tracer* t : {&serial, &a, &b}) t->enable();
+  node_a(serial);
+  node_b(serial);
+  node_a(a);
+  node_b(b);
+  folded.append(a);
+  folded.append(b);
+  EXPECT_EQ(folded.recorded(), serial.recorded());
+  EXPECT_EQ(folded.dropped(), serial.dropped());
+  EXPECT_EQ(folded.size(), serial.size());
+  EXPECT_EQ(folded.chrome_trace_json(), serial.chrome_trace_json());
+  const auto fs = folded.snapshot(), ss = serial.snapshot();
+  ASSERT_EQ(fs.size(), ss.size());
+  for (std::size_t i = 0; i < fs.size(); ++i) {
+    EXPECT_EQ(fs[i].seq, ss[i].seq);
+    EXPECT_EQ(fs[i].ts, ss[i].ts);
+    EXPECT_EQ(fs[i].kind, ss[i].kind);
+  }
 }
 
 // -------------------------------------------------- end-to-end chain --

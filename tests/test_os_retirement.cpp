@@ -37,6 +37,17 @@ TEST(Retirement, RetireFrameIdempotentAndFreesInUse) {
   pa.retire_frame(*a);
   EXPECT_EQ(pa.frames_retired(), 1u);
   EXPECT_EQ(pa.frames_in_use(), 1u);
+  // Each frame's in-use, retired and scheme state decodes independently.
+  const os::PageFrame retired = pa.frame_at(*a);
+  EXPECT_TRUE(retired.retired);
+  EXPECT_FALSE(retired.in_use);
+  EXPECT_EQ(retired.ecc_type, ecc::Scheme::kNone);
+  const os::PageFrame live = pa.frame_at(*a + 4096);
+  EXPECT_TRUE(live.in_use);
+  EXPECT_FALSE(live.retired);
+  const os::PageFrame untouched = pa.frame_at(*a + 2 * 4096);
+  EXPECT_FALSE(untouched.in_use || untouched.retired);
+  EXPECT_EQ(untouched.ecc_type, os::PageFrame{}.ecc_type);
 }
 
 TEST(Retirement, MigrationMovesPhysicalMappingKeepsVirtual) {

@@ -1,17 +1,24 @@
-// Exact golden values for the heap-independent cells of the paper sweep.
+// Exact golden values for all 24 cells of the paper sweep, and the
+// parallel sweep's equality with a serial loop.
 //
-// The simulated cycles and energies of FT-DGEMM, FT-Cholesky and FT-HPL
-// depend only on the config and the seed: they stay bit-identical when
-// sizeof(memsim::Cache) changes and under ASan's allocator. The table pins
+// Every kernel references only Os-registered memory (no anonymous pages),
+// so simulated cycles and energies depend only on the config and the seed:
+// they stay bit-identical when sizeof(memsim::Cache) changes, under ASan's
+// allocator, and whatever the host heap held before the run. The table pins
 // them at the perfbench paper_sweep dimensions (perfbench/workloads.cpp
 // sweep_options, seed 42), so a memsim change that claims identical outputs
-// has to keep them exactly. FT-CG is left out: its unregistered workspace
-// pages map by host page (sim/tap.hpp), so its cycles move with heap layout.
+// has to keep them exactly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "bench/sweep.hpp"
+#include "common/error.hpp"
+#include "obs/metrics.hpp"
+#include "obs/profile.hpp"
+#include "obs/trace.hpp"
 #include "sim/platform.hpp"
 #include "sim/strategy.hpp"
 
@@ -43,6 +50,12 @@ constexpr GoldenCell kGolden[] = {
     {Kernel::kCholesky, Strategy::kWholeSecded, 22419664, 4374208, 84577, 19682, 0x1.b494d047fffffp+32, 0x1.ba9e839dp+35},
     {Kernel::kCholesky, Strategy::kPartialSecdedNoEcc, 22419664, 4374208, 84577, 19682, 0x1.a424d3bffffffp+32, 0x1.b890840cp+35},
     {Kernel::kCholesky, Strategy::kPartialChipkillSecded, 22419664, 4374208, 84577, 19682, 0x1.b494d047fffffp+32, 0x1.ba9e839dp+35},
+    {Kernel::kCg, Strategy::kNoEcc, 17481610, 2306240, 156470, 1600, 0x1.a7462ffp+32, 0x1.363999988p+35},
+    {Kernel::kCg, Strategy::kWholeChipkill, 18383950, 2306240, 156470, 1600, 0x1.54661958p+33, 0x1.5ed1b2918p+35},
+    {Kernel::kCg, Strategy::kPartialChipkillNoEcc, 17489170, 2306240, 156470, 1600, 0x1.a8b1275p+32, 0x1.3678fec68p+35},
+    {Kernel::kCg, Strategy::kWholeSecded, 17481610, 2306240, 156470, 1600, 0x1.c00cc26p+32, 0x1.39526be68p+35},
+    {Kernel::kCg, Strategy::kPartialSecdedNoEcc, 17481610, 2306240, 156470, 1600, 0x1.a76747dp+32, 0x1.363dbc948p+35},
+    {Kernel::kCg, Strategy::kPartialChipkillSecded, 17489170, 2306240, 156470, 1600, 0x1.c1592fp+32, 0x1.398dffbc8p+35},
     {Kernel::kHpl, Strategy::kNoEcc, 16620750, 3896048, 45347, 37215, 0x1.3ff5d21p+32, 0x1.6270da858p+35},
     {Kernel::kHpl, Strategy::kWholeChipkill, 17115162, 3896048, 45347, 37215, 0x1.cab7e98p+32, 0x1.7863e2967ffffp+35},
     {Kernel::kHpl, Strategy::kPartialChipkillNoEcc, 16620750, 3896048, 45347, 37215, 0x1.3ff5d21p+32, 0x1.6270da858p+35},
@@ -70,8 +83,11 @@ TEST_P(SweepGolden, MatchesPinnedValuesExactly) {
   const GoldenCell& g = GetParam();
   PlatformOptions o = sweep_options();
   o.strategy = g.strategy;
-  const RunMetrics m = run_kernel(g.kernel, o);
+  Session s = Session::Builder(o).build();
+  const RunMetrics m = s.run(g.kernel);
   ASSERT_EQ(m.status, abft::FtStatus::kOk);
+  // Every reference maps through an Os region, none by host page.
+  EXPECT_EQ(s.tap_context().anonymous_pages(), 0u);
   EXPECT_EQ(m.sys.cpu_cycles, g.cycles);
   EXPECT_EQ(m.sys.mem_refs, g.mem_refs);
   EXPECT_EQ(m.sys.demand_misses, g.demand_misses);
@@ -91,6 +107,75 @@ std::string cell_name(const ::testing::TestParamInfo<GoldenCell>& info) {
 
 INSTANTIATE_TEST_SUITE_P(HeapIndependentCells, SweepGolden,
                          ::testing::ValuesIn(kGolden), cell_name);
+
+TEST(ParallelSweep, EqualsSerialLoopWithFoldedInstruments) {
+  PlatformOptions o = sweep_options();
+  o.profile = true;
+  // A ring smaller than one cell's events, so the fold must reproduce the
+  // serial wrap (survivors, sequence numbers, drop count) exactly.
+  constexpr std::size_t kRing = 512;
+
+  obs::Registry serial_reg;
+  obs::Tracer serial_trace(kRing);
+  serial_trace.enable();
+  obs::PhaseProfiler serial_prof;
+  std::vector<RunMetrics> serial;
+  {
+    const obs::RegistryScope rs(serial_reg);
+    const obs::TracerScope ts(serial_trace);
+    const obs::ProfilerScope ps(serial_prof);
+    for (const Kernel k : bench::kSweepKernels)
+      for (const Strategy st : kAllStrategies) {
+        o.strategy = st;
+        serial.push_back(run_kernel(k, o));
+      }
+  }
+
+  obs::Registry par_reg;
+  obs::Tracer par_trace(kRing);
+  par_trace.enable();
+  obs::PhaseProfiler par_prof;
+  bench::Sweep sweep;
+  {
+    const obs::RegistryScope rs(par_reg);
+    const obs::TracerScope ts(par_trace);
+    const obs::ProfilerScope ps(par_prof);
+    sweep = bench::run_sweep(o);
+  }
+
+  std::size_t i = 0;
+  for (const Kernel k : bench::kSweepKernels)
+    for (const Strategy st : kAllStrategies) {
+      EXPECT_TRUE(sweep.at(k, st) == serial[i])
+          << kernel_name(k) << "/" << spec(st).label;
+      ++i;
+    }
+  EXPECT_EQ(sweep.results.size(), serial.size());
+
+  EXPECT_GT(serial_reg.size(), 0u);
+  EXPECT_EQ(par_reg.to_json(), serial_reg.to_json());
+
+  EXPECT_GT(serial_trace.dropped(), 0u);
+  EXPECT_EQ(par_trace.recorded(), serial_trace.recorded());
+  EXPECT_EQ(par_trace.dropped(), serial_trace.dropped());
+  EXPECT_EQ(par_trace.chrome_trace_json(), serial_trace.chrome_trace_json());
+
+  EXPECT_FALSE(serial_prof.nodes().empty());
+  EXPECT_EQ(par_prof.to_json(), serial_prof.to_json());
+}
+
+TEST(ParallelSweep, CellErrorIsRethrownOnTheCallingThread) {
+  // A cell that throws on a worker thread must not terminate the process:
+  // the sweep joins its workers and rethrows, as the serial loop would.
+  PlatformOptions o;
+  o.dgemm_dim = 32;
+  o.cholesky_dim = 32;
+  o.cg_dim = 32;
+  o.cg_iterations = 2;
+  o.hpl_dim = 32;
+  o.hpl_processes = 3;  // does not divide hpl_dim: FtHpl rejects it
+  EXPECT_THROW(bench::run_sweep(o), ContractViolation);
+}
 
 }  // namespace
 }  // namespace abftecc::sim

@@ -58,8 +58,9 @@ void print_usage(const char* prog) {
       "  --latencies       measure per-trial recovery latency (first ECC\n"
       "                    interrupt -> first recovery event) and emit\n"
       "                    cycle histograms under the report's 'latency'\n"
-      "                    key; cycle-derived, so the report is no longer\n"
-      "                    byte-reproducible across heap layouts\n"
+      "                    key; simulated cycles depend only on config and\n"
+      "                    seed, so the report is byte-reproducible at any\n"
+      "                    --threads\n"
       "  --jsonl <path>    per-trial JSON-lines log\n"
       "  --lineage <path>  per-fault provenance ledger (JSON lines): every\n"
       "                    injected fault's stage chain from injection to\n"
