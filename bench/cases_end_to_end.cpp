@@ -6,6 +6,7 @@
 // FT-DGEMM-protected structure on a fully wired node and reports what each
 // deployment actually did: in-controller ECC correction, ABFT repair
 // (optionally via the OS notification), or checkpoint/restart fallback.
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -29,7 +30,7 @@ struct Outcome {
 
 struct Deployment {
   sim::Session s;
-  Matrix a, b, ref;
+  Matrix ref;
   abft::FtDgemm::Buffers buf;
   std::unique_ptr<abft::FtDgemm> ft;
 
@@ -37,14 +38,18 @@ struct Deployment {
       : s(sim::Session::Builder().strategy(strategy).build()) {
     const std::size_t n = 64;
     Rng rng(7);
-    a = Matrix::random(n, n, rng);
-    b = Matrix::random(n, n, rng);
+    const Matrix a = Matrix::random(n, n, rng), b = Matrix::random(n, n, rng);
     ref = Matrix(n, n);
     linalg::gemm(1.0, a.view(), b.view(), 0.0, ref.view());
+    // The inputs live in plain node memory, as Session::run places them.
+    const MatrixView sa = s.plain_matrix(n, n, "A");
+    const MatrixView sb = s.plain_matrix(n, n, "B");
+    std::copy_n(a.data(), a.size(), sa.data());
+    std::copy_n(b.data(), b.size(), sb.data());
     buf = {s.abft_matrix(n + 1, n, "Ac"), s.abft_matrix(n, n + 1, "Br"),
            s.abft_matrix(n + 1, n + 1, "Cf")};
-    ft = std::make_unique<abft::FtDgemm>(a.view(), b.view(), buf,
-                                         abft::FtOptions{}, &s.runtime());
+    ft = std::make_unique<abft::FtDgemm>(sa, sb, buf, abft::FtOptions{},
+                                         &s.runtime());
     ft->run(s.tap());
     s.flush_caches();
   }

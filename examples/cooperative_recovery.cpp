@@ -29,8 +29,8 @@
 //      never copied back over live data.
 //
 //   build/examples/cooperative_recovery
+#include <algorithm>
 #include <cstdio>
-
 #include <string>
 
 #include "abft/ft_dgemm.hpp"
@@ -43,6 +43,13 @@
 int main() {
   using namespace abftecc;
   constexpr std::size_t n = 96;
+  // Kernel inputs live in plain (chipkill) node memory, like every datum a
+  // simulated kernel references.
+  auto on_node = [](sim::Session& node, const Matrix& m, const char* name) {
+    const MatrixView v = node.plain_matrix(m.rows(), m.cols(), name);
+    std::copy_n(m.data(), m.size(), v.data());
+    return v;
+  };
 
   // A node behind the Session facade: memory system (chipkill default),
   // OS, ABFT runtime, tap, injector -- wired as P_CK+P_SD, the paper's
@@ -64,7 +71,8 @@ int main() {
   Matrix a = Matrix::random(n, n, rng), b = Matrix::random(n, n, rng);
   abft::FtOptions opt;
   opt.hardware_assisted = true;  // Section 3.2.2 cooperative mode
-  abft::FtDgemm ft(a.view(), b.view(), buf, opt, &s.runtime());
+  abft::FtDgemm ft(on_node(s, a, "A"), on_node(s, b, "B"), buf, opt,
+                   &s.runtime());
   sim::MemoryTap tap = s.tap();
   ft.run(tap);
   std::printf("    multiply finished (%llu hw-checks, no errors)\n",
@@ -118,7 +126,8 @@ int main() {
                               s2.abft_matrix(n + 1, n + 1, "Cf2")};
   Rng rng2(12);
   Matrix a2 = Matrix::random(n, n, rng2), b2 = Matrix::random(n, n, rng2);
-  abft::FtDgemm ft2(a2.view(), b2.view(), buf2, {}, &s2.runtime());
+  abft::FtDgemm ft2(on_node(s2, a2, "A2"), on_node(s2, b2, "B2"), buf2, {},
+                    &s2.runtime());
   // Four equal hits forming a grid: row/column residual pairing is
   // ambiguous, so plain ABFT correction refuses (Case 4) and the ladder's
   // block recompute from the pristine inputs takes over.

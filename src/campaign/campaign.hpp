@@ -115,9 +115,9 @@ struct CampaignOptions {
   double tolerance = 1e-6;
   /// Record per-trial recovery latency (first OS ECC interrupt to the end
   /// of the first recovery-path event) by running each trial's private
-  /// tracer with demand misses masked out. Off by default: the measured
-  /// cycles depend on host heap layout (see TrialOutcome::sim_seconds) and
-  /// are therefore kept out of the byte-identical determinism surface.
+  /// tracer with demand misses masked out. Off by default, as it turns
+  /// on every trial's tracer. The measured cycles depend only on options
+  /// and seed.
   bool measure_latency = false;
   /// Trials claimed per scheduling step by the in-process pool (and the
   /// chunk granularity campaignd shards steal from each other). 0 = auto:
@@ -132,8 +132,8 @@ struct CampaignOptions {
   /// reconciles the ledgers against the outcome taxonomy
   /// (CampaignResult::lineage). Off by default; MUST NOT perturb trial
   /// outcomes (the CI smoke gate byte-compares trial JSONL with and
-  /// without it). Event cycle stamps carry the usual sim_seconds caveat
-  /// and stay off the byte-determinism surface.
+  /// without it). Every ledger field, event cycle stamps included, is
+  /// deterministic for a fixed seed.
   bool lineage = false;
 };
 
@@ -170,23 +170,18 @@ struct TrialOutcome {
   /// injection was lost -- the campaign counts it as unclassified.
   bool materialized = false;
   double max_abs_error = 0.0;  ///< vs. the golden result
-  /// Simulated time of the trial's run. NOT part of the determinism
-  /// surface (and excluded from the JSONL): kernels with anonymous
-  /// std::vector workspaces map those pages by host heap address, which
-  /// varies with thread scheduling, so cycle counts can wobble by a cache
-  /// miss or two. Outcome fields never depend on timing.
+  /// Simulated time of the trial's run (not written to the JSONL, which
+  /// records outcomes only). Outcome fields never depend on timing.
   double sim_seconds = 0.0;
-  /// Total simulated cycles of the run; same caveat as sim_seconds.
+  /// Total simulated cycles of the run (the report's cycles_by_outcome).
   std::uint64_t cycles = 0;
   /// Cycles from the first OS ECC interrupt to the end of the first
   /// recovery-path event after it (log drain, ABFT correction, rollback).
   /// Negative when not measured (CampaignOptions::measure_latency off) or
-  /// when no interrupt fired; same determinism caveat as sim_seconds.
+  /// when no interrupt fired.
   double interrupt_to_recovery_cycles = -1.0;
   /// Sealed provenance ledger of the trial (CampaignOptions::lineage);
-  /// empty when lineage is off. Event cycle stamps share the sim_seconds
-  /// caveat; everything else (IDs, stages, resolutions, terminal) is
-  /// deterministic.
+  /// empty when lineage is off.
   std::vector<obs::LineageFault> lineage_faults;
   std::vector<obs::LineageEvent> lineage_events;
   std::string_view lineage_terminal;  ///< sealed outcome label; "" = off
@@ -277,11 +272,8 @@ struct GoldenRun {
 [[nodiscard]] std::size_t resolve_chunk(std::size_t chunk, std::size_t trials,
                                         unsigned workers);
 
-/// Execute the fault-free reference run for `opt`. Callers running several
-/// campaigns in one process should compute every golden run up front,
-/// before any trial pool exists: golden cycle counts are sensitive to host
-/// heap layout (see TrialOutcome::sim_seconds), and pre-pool main-thread
-/// allocation history is the same on every invocation.
+/// Execute the fault-free reference run for `opt`: the result and reference
+/// count every trial of the campaign is measured against.
 [[nodiscard]] GoldenRun run_golden(const CampaignOptions& opt);
 
 /// Run ONE trial of the campaign: everything trial `index` needs is
@@ -325,9 +317,9 @@ void write_trial_jsonl(std::FILE* f, const CampaignOptions& opt,
     const CampaignResult& result);
 
 /// Stream one trial's ledger as JSONL: one object per fault record (its
-/// stage events inlined), then one trial-scope summary object. The
-/// "cycle" fields are host-heap-layout sensitive (see TrialOutcome);
-/// tools/forensics.py `canon` strips them for determinism diffing.
+/// stage events inlined), then one trial-scope summary object.
+/// tools/forensics.py `canon` merges and sorts ledgers for determinism
+/// diffing.
 void write_lineage_jsonl(std::FILE* f, const CampaignOptions& opt,
                          const TrialOutcome& t);
 

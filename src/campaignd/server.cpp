@@ -745,9 +745,8 @@ bool Server::write_job_outputs(Job& job, const std::string& trials,
 }
 
 void Server::run_campaign_job(Job& job) {
-  // Golden runs happen on the supervisor's main thread before any worker
-  // forks, so every worker inherits the identical reference run (see
-  // campaign::run_golden's heap-layout note).
+  // The golden run happens on the supervisor before any worker forks, so
+  // every worker inherits the one reference run instead of recomputing it.
   const campaign::GoldenRun golden = campaign::run_golden(job.spec.options);
 
   ShardOptions shard_opt;

@@ -1,19 +1,19 @@
 // MemoryTap: the sim-mode Tap policy (see common/tap.hpp).
 //
 // Every instrumented kernel reference is translated from its host (virtual)
-// address to a simulated physical address and issued to the MemorySystem.
-// Addresses inside Os-registered regions use the region's mapping;
-// everything else (stack temporaries, std::vector workspaces) is assigned
-// anonymous frames above the allocator's range -- those pages fall under
-// the node's default (strong) ECC scheme and count as non-ABFT traffic,
-// which is exactly how unregistered data behaves on the modeled machine.
+// address to a simulated physical address through the Os region that holds
+// it, and issued to the MemorySystem. As on the paper's simulated node, all
+// data a kernel touches comes from the Os allocator (malloc_ecc /
+// malloc_plain), so simulated addresses -- and therefore cycles -- follow
+// the Os's allocation order alone, whatever host addresses the data has. A
+// reference outside every region is a contract violation.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 
+#include "common/error.hpp"
 #include "common/tap.hpp"
 #include "memsim/system.hpp"
 #include "os/os.hpp"
@@ -24,8 +24,7 @@ namespace abftecc::sim {
 class TapContext {
  public:
   TapContext(os::Os& os, memsim::MemorySystem& system)
-      : os_(os), system_(system), anon_base_(system.config().capacity_bytes),
-        page_(system.config().page_bytes) {}
+      : os_(os), system_(system) {}
 
   void issue(const void* p, std::size_t bytes, memsim::AccessKind kind) {
     const auto addr = reinterpret_cast<std::uintptr_t>(p);
@@ -35,7 +34,9 @@ class TapContext {
     if (last_ != nullptr && addr >= last_begin_ && addr < last_end_) {
       phys = last_phys_base_ + (addr - last_begin_);
       abft = last_abft_;
-    } else if (const os::Region* r = os_.region_of(p); r != nullptr) {
+    } else {
+      const os::Region* r = os_.region_of(p);
+      ABFTECC_REQUIRE(r != nullptr);
       last_ = r;
       last_begin_ = reinterpret_cast<std::uintptr_t>(r->host_base);
       last_end_ = last_begin_ + r->size;
@@ -43,8 +44,6 @@ class TapContext {
       last_abft_ = r->abft_protected;
       phys = r->phys_base + (addr - last_begin_);
       abft = r->abft_protected;
-    } else {
-      phys = anonymous_phys(addr);
     }
     if (abft)
       ++refs_abft_;
@@ -75,31 +74,14 @@ class TapContext {
 
   [[nodiscard]] std::uint64_t refs_abft() const { return refs_abft_; }
   [[nodiscard]] std::uint64_t refs_other() const { return refs_other_; }
-  /// Host pages referenced outside every Os region so far. Their simulated
-  /// addresses follow host heap layout, so a kernel whose cycles must
-  /// depend only on config and seed keeps this at 0.
-  [[nodiscard]] std::size_t anonymous_pages() const {
-    return anon_pages_.size();
-  }
 
  private:
-  std::uint64_t anonymous_phys(std::uintptr_t addr) {
-    const std::uintptr_t host_page = addr / page_;
-    auto [it, inserted] = anon_pages_.try_emplace(host_page, 0);
-    if (inserted) it->second = anon_base_ + (anon_next_++) * page_;
-    return it->second + addr % page_;
-  }
-
   os::Os& os_;
   memsim::MemorySystem& system_;
   const os::Region* last_ = nullptr;
   std::uintptr_t last_begin_ = 0, last_end_ = 0;
   std::uint64_t last_phys_base_ = 0;
   bool last_abft_ = false;
-  std::uint64_t anon_base_;
-  std::uint64_t page_;
-  std::uint64_t anon_next_ = 0;
-  std::unordered_map<std::uintptr_t, std::uint64_t> anon_pages_;
   std::uint64_t refs_abft_ = 0;
   std::uint64_t refs_other_ = 0;
   std::uint64_t trigger_at_ = 0;

@@ -5,7 +5,9 @@
 // bytes is a backend leaking into the numerics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 
 #include "abft/ft_cg.hpp"
 #include "abft/ft_cholesky.hpp"
@@ -26,6 +28,8 @@ namespace {
 
 /// A fresh simulated node per run: MemorySystem -> Os -> TapContext, the
 /// same wiring sim::Session uses, without the session's kernel plumbing.
+/// A simulated kernel references only Os memory, so every sim-side operand
+/// is copied into a region first.
 struct SimRig {
   memsim::MemorySystem sys;
   os::Os os;
@@ -36,6 +40,17 @@ struct SimRig {
         os(sys),
         ctx(os, sys),
         be(ctx, sys) {}
+
+  MatrixView copy(const Matrix& m) {
+    auto* p = static_cast<double*>(os.malloc_plain(m.size() * sizeof(double)));
+    std::copy_n(m.data(), m.size(), p);
+    return MatrixView(p, m.rows(), m.cols(), m.rows());
+  }
+  std::span<double> copy(const std::vector<double>& v) {
+    auto* p = static_cast<double*>(os.malloc_plain(v.size() * sizeof(double)));
+    std::copy(v.begin(), v.end(), p);
+    return {p, v.size()};
+  }
 };
 
 ::testing::AssertionResult bits_equal(ConstMatrixView x, ConstMatrixView y) {
@@ -50,8 +65,8 @@ struct SimRig {
   return ::testing::AssertionSuccess();
 }
 
-::testing::AssertionResult bits_equal(const std::vector<double>& x,
-                                      const std::vector<double>& y) {
+::testing::AssertionResult bits_equal(std::span<const double> x,
+                                      std::span<const double> y) {
   if (x.size() != y.size())
     return ::testing::AssertionFailure() << "length mismatch";
   if (std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) != 0)
@@ -83,11 +98,12 @@ TEST(BackendParity, FtDgemmNativeMatchesSimBitForBit) {
   ASSERT_EQ(nft.run(nbe), FtStatus::kOk);
 
   SimRig rig;
-  FtDgemm sft(sim.a.view(), sim.b.view(),
-              {sim.ac.view(), sim.br.view(), sim.cf.view()});
+  const MatrixView cf = rig.copy(sim.cf);
+  FtDgemm sft(rig.copy(sim.a), rig.copy(sim.b),
+              {rig.copy(sim.ac), rig.copy(sim.br), cf});
   ASSERT_EQ(sft.run(rig.be), FtStatus::kOk);
 
-  EXPECT_TRUE(bits_equal(nat.cf.view(), sim.cf.view()));
+  EXPECT_TRUE(bits_equal(nat.cf.view(), cf));
   // Sim mode issued the kernel's references into memsim; native did not.
   EXPECT_GT(rig.sys.stats().mem_refs, 0u);
 }
@@ -100,11 +116,12 @@ TEST(BackendParity, FtDgemmDualNativeMatchesSimBitForBit) {
   ASSERT_EQ(nft.run(nbe), FtStatus::kOk);
 
   SimRig rig;
-  FtDgemmDual sft(sim.a.view(), sim.b.view(),
-                  {sim.ac.view(), sim.br.view(), sim.cf.view()});
+  const MatrixView cf = rig.copy(sim.cf);
+  FtDgemmDual sft(rig.copy(sim.a), rig.copy(sim.b),
+                  {rig.copy(sim.ac), rig.copy(sim.br), cf});
   ASSERT_EQ(sft.run(rig.be), FtStatus::kOk);
 
-  EXPECT_TRUE(bits_equal(nat.cf.view(), sim.cf.view()));
+  EXPECT_TRUE(bits_equal(nat.cf.view(), cf));
 }
 
 // ------------------------------------------------------------- cholesky --
@@ -120,12 +137,13 @@ TEST(BackendParity, FtCholeskyNativeMatchesSimBitForBit) {
   ASSERT_EQ(nft.run(nbe), FtStatus::kOk);
 
   SimRig rig;
-  FtCholesky sft({as.view(), ss, ws}, {}, nullptr, 16);
+  const FtCholesky::Buffers sbuf{rig.copy(as), rig.copy(ss), rig.copy(ws)};
+  FtCholesky sft(sbuf, {}, nullptr, 16);
   ASSERT_EQ(sft.run(rig.be), FtStatus::kOk);
 
-  EXPECT_TRUE(bits_equal(an.view(), as.view()));
-  EXPECT_TRUE(bits_equal(sn, ss));
-  EXPECT_TRUE(bits_equal(wn, ws));
+  EXPECT_TRUE(bits_equal(an.view(), sbuf.a));
+  EXPECT_TRUE(bits_equal(sn, sbuf.sum));
+  EXPECT_TRUE(bits_equal(wn, sbuf.weighted));
 }
 
 // ------------------------------------------------------------------- cg --
@@ -149,12 +167,16 @@ TEST(BackendParity, FtCgNativeMatchesSimBitForBit) {
   ASSERT_TRUE(rnat.cg.converged);
 
   SimRig rig;
-  FtCg sft(syss.a.view(), syss.b, {xs, rs, zs, ps, qs, ws}, opt);
+  const std::span<double> sx = rig.copy(xs);
+  FtCg sft(rig.copy(syss.a), rig.copy(syss.b),
+           {sx, rig.copy(rs), rig.copy(zs), rig.copy(ps), rig.copy(qs),
+            rig.copy(ws)},
+           opt);
   const FtCgResult rsim = sft.run(rig.be);
   ASSERT_TRUE(rsim.cg.converged);
 
   EXPECT_EQ(rnat.cg.iterations, rsim.cg.iterations);
-  EXPECT_TRUE(bits_equal(xn, xs));
+  EXPECT_TRUE(bits_equal(xn, sx));
 }
 
 // ------------------------------------------------------------------ hpl --
@@ -174,13 +196,14 @@ TEST(BackendParity, FtHplNativeMatchesSimBitForBit) {
   nft.solve(xn);
 
   SimRig rig;
-  FtHpl sft(syss.a.view(), syss.b, procs, {aes.view(), ucs.view()}, {},
-            nullptr, 16);
+  const MatrixView ae = rig.copy(aes);
+  FtHpl sft(rig.copy(syss.a), rig.copy(syss.b), procs, {ae, rig.copy(ucs)},
+            {}, nullptr, 16);
   ASSERT_EQ(sft.factor(rig.be), FtStatus::kOk);
   std::vector<double> xs(n);
   sft.solve(xs);
 
-  EXPECT_TRUE(bits_equal(aen.view(), aes.view()));
+  EXPECT_TRUE(bits_equal(aen.view(), ae));
   EXPECT_TRUE(bits_equal(xn, xs));
 }
 
@@ -202,11 +225,12 @@ TEST(BackendParity, FtQrNativeMatchesSimBitForBit) {
   ASSERT_EQ(nft.factor(nbe), FtStatus::kOk);
 
   SimRig rig;
-  FtQr sft(as.view(), {aws.view(), taus}, {}, nullptr, 16);
+  const FtQr::Buffers sbuf{rig.copy(aws), rig.copy(taus)};
+  FtQr sft(rig.copy(as), sbuf, {}, nullptr, 16);
   ASSERT_EQ(sft.factor(rig.be), FtStatus::kOk);
 
-  EXPECT_TRUE(bits_equal(awn.view(), aws.view()));
-  EXPECT_TRUE(bits_equal(taun, taus));
+  EXPECT_TRUE(bits_equal(awn.view(), sbuf.aw));
+  EXPECT_TRUE(bits_equal(taun, sbuf.tau));
 }
 
 // ------------------------------------------------- native instrumentation --

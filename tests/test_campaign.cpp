@@ -5,6 +5,7 @@
 // last verification), and a small smoke campaign per kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
@@ -249,6 +250,14 @@ TEST(Campaign, DifferentSeedsPickDifferentFaultSites) {
 
 // ---------------------------------------------------------- edge cases --
 
+/// Copy a host matrix into plain Os memory on `s`, where a simulated
+/// kernel can reference it.
+MatrixView on_node(sim::Session& s, const Matrix& m, const char* name) {
+  const MatrixView v = s.plain_matrix(m.rows(), m.cols(), name);
+  std::copy_n(m.data(), m.size(), v.data());
+  return v;
+}
+
 // A fault in the checksum row itself (not the payload) must come back as
 // corrected: FtDgemm recomputes the damaged checksum entry from the
 // payload instead of "repairing" correct data against a bad checksum.
@@ -263,7 +272,8 @@ TEST(Campaign, ChecksumRowFaultIsCorrected) {
   abft::FtDgemm::Buffers buf{s.abft_matrix(n + 1, n, "Ac"),
                              s.abft_matrix(n, n + 1, "Br"),
                              s.abft_matrix(n + 1, n + 1, "Cf")};
-  abft::FtDgemm ft(a.view(), b.view(), buf, abft::FtOptions{}, &s.runtime());
+  abft::FtDgemm ft(on_node(s, a, "A"), on_node(s, b, "B"), buf,
+                   abft::FtOptions{}, &s.runtime());
   ASSERT_EQ(ft.run(s.tap()), abft::FtStatus::kOk);
 
   // Flip a high-mantissa bit (byte 6) of a checksum-row element.
@@ -293,7 +303,8 @@ TEST(Campaign, FaultAfterLastVerifyIsSilentDataCorruption) {
   abft::FtDgemm::Buffers buf{s.abft_matrix(n + 1, n, "Ac"),
                              s.abft_matrix(n, n + 1, "Br"),
                              s.abft_matrix(n + 1, n + 1, "Cf")};
-  abft::FtDgemm ft(a.view(), b.view(), buf, abft::FtOptions{}, &s.runtime());
+  abft::FtDgemm ft(on_node(s, a, "A"), on_node(s, b, "B"), buf,
+                   abft::FtOptions{}, &s.runtime());
   const abft::FtStatus st = ft.run(s.tap());  // last verify happens in here
   ASSERT_EQ(st, abft::FtStatus::kOk);
 

@@ -89,12 +89,22 @@ std::vector<TrialOutcome> run_all_trials(const CampaignOptions& opt,
 }
 
 /// Fields of the accumulator that are part of the byte-determinism
-/// surface (cycle sums are host-heap-layout sensitive and excluded).
+/// surface.
 void expect_deterministic_fields_equal(const Accumulator& a,
                                        const Accumulator& b) {
   EXPECT_EQ(a.trials(), b.trials());
-  for (Outcome o : campaign::kAllOutcomes)
+  for (Outcome o : campaign::kAllOutcomes) {
     EXPECT_EQ(a.outcome_count(o), b.outcome_count(o));
+    // cycles_by_outcome
+    EXPECT_EQ(a.cost(o).trials, b.cost(o).trials);
+    EXPECT_EQ(a.cost(o).sum_cycles, b.cost(o).sum_cycles);
+    EXPECT_EQ(a.cost(o).max_cycles, b.cost(o).max_cycles);
+  }
+  EXPECT_EQ(a.latency_count(), b.latency_count());
+  EXPECT_EQ(a.latency_sum(), b.latency_sum());
+  EXPECT_EQ(a.latency_max(), b.latency_max());
+  for (std::size_t i = 0; i < Accumulator::kLatencyBuckets; ++i)
+    EXPECT_EQ(a.latency_bucket(i), b.latency_bucket(i));
   EXPECT_EQ(a.unclassified(), b.unclassified());
   EXPECT_EQ(a.panicked(), b.panicked());
   EXPECT_EQ(a.injected(), b.injected());
@@ -396,6 +406,10 @@ TEST(Shard, ByteIdenticalToInProcessPool) {
   CampaignOptions opt = tiny_options();
   opt.lineage = true;
   opt.chunk = 3;
+  // Detected-uncorrectable faults raise interrupts, so the cycle-valued
+  // latency histogram has samples to compare.
+  opt.fault.kind = campaign::FaultKind::kDoubleBit;
+  opt.measure_latency = true;
   const GoldenRun golden = campaign::run_golden(opt);
 
   const CampaignResult res = campaign::run_campaign(opt, golden);
@@ -410,6 +424,7 @@ TEST(Shard, ByteIdenticalToInProcessPool) {
   ASSERT_TRUE(out.ok) << out.error;
   EXPECT_EQ(out.chunks_executed, out.chunks_total);
   EXPECT_EQ(out.trial_lines, expected);
+  EXPECT_GT(baseline.latency_count(), 0u);
   expect_deterministic_fields_equal(out.acc, baseline);
 }
 

@@ -3,7 +3,7 @@
 
 Exercises the ledger parser, the funnel/orphan logic, reconciliation
 against a campaign report (including deliberate mismatches), and the
-canon subcommand's cycle-stripping -- on a synthetic two-trial ledger, so
+canon subcommand's canonical form -- on a synthetic two-trial ledger, so
 the tests do not need the simulator built. The CI smoke job runs the same
 subcommands against a real campaign ledger.
 """
@@ -153,15 +153,19 @@ class ForensicsTest(unittest.TestCase):
         self.assertEqual(status, 1)
         self.assertIn("fault records", out)
 
-    def test_canon_strips_cycles_and_is_stable(self):
+    def test_canon_keeps_cycles_and_is_order_independent(self):
         with tempfile.TemporaryDirectory() as d:
-            p = self.write(d, "l.jsonl", LEDGER)
-            status, out = self.run_cli("canon", p)
+            status, out = self.run_cli(
+                "canon", self.write(d, "l.jsonl", LEDGER))
+            _, out_rev = self.run_cli(
+                "canon", self.write(d, "r.jsonl", LEDGER[::-1]))
         self.assertEqual(status, 0)
-        self.assertNotIn('"cycle"', out)
-        # Still one canonical line per ledger record, all stages intact.
+        self.assertEqual(out, out_rev)
+        # One canonical line per ledger record, stages and cycle stamps
+        # intact.
         self.assertEqual(len(out.strip().splitlines()), len(LEDGER))
         self.assertIn("ecc_detected_uncorrectable", out)
+        self.assertIn('"cycle":900', out)
 
     def test_timeline_decodes_abft_residual_bits(self):
         residual = 0.03125

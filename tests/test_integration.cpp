@@ -4,6 +4,7 @@
 // cooperative pipeline -- plus the evaluation platform and scaling engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "abft/ft_dgemm.hpp"
@@ -41,6 +42,14 @@ struct Rig {
     EXPECT_NE(p, nullptr);
     return MatrixView(static_cast<double*>(p), r, c, r);
   }
+  /// A kernel input copied into plain Os memory, as Session::run places it.
+  MatrixView input(const Matrix& m, const char* name) {
+    auto* p =
+        static_cast<double*>(os.malloc_plain(m.size() * sizeof(double), name));
+    EXPECT_NE(p, nullptr);
+    std::copy_n(m.data(), m.size(), p);
+    return MatrixView(p, m.rows(), m.cols(), m.rows());
+  }
 };
 
 TEST(Cooperative, AbftCorrectsSilentDramErrorUnderNoEcc) {
@@ -55,7 +64,7 @@ TEST(Cooperative, AbftCorrectsSilentDramErrorUnderNoEcc) {
       rig.matrix(n + 1, n, ecc::Scheme::kNone, "Ac"),
       rig.matrix(n, n + 1, ecc::Scheme::kNone, "Br"),
       rig.matrix(n + 1, n + 1, ecc::Scheme::kNone, "Cf")};
-  abft::FtDgemm ft(a.view(), b.view(), buf, {}, &rig.rt);
+  abft::FtDgemm ft(rig.input(a, "A"), rig.input(b, "B"), buf, {}, &rig.rt);
   sim::MemoryTap tap(rig.ctx);
   ASSERT_EQ(ft.run(tap), abft::FtStatus::kOk);
 
@@ -95,7 +104,7 @@ TEST(Cooperative, HardwareNotificationDrivesSimplifiedVerification) {
       rig.matrix(n + 1, n, ecc::Scheme::kSecded, "Ac"),
       rig.matrix(n, n + 1, ecc::Scheme::kSecded, "Br"),
       rig.matrix(n + 1, n + 1, ecc::Scheme::kSecded, "Cf")};
-  abft::FtDgemm ft(a.view(), b.view(), buf, opt, &rig.rt);
+  abft::FtDgemm ft(rig.input(a, "A"), rig.input(b, "B"), buf, opt, &rig.rt);
   sim::MemoryTap tap(rig.ctx);
   ASSERT_EQ(ft.run(tap), abft::FtStatus::kOk);
 
@@ -133,7 +142,7 @@ TEST(Cooperative, HardwareAssistedSkipsWorkWhenNoErrorPending) {
       rig.matrix(n + 1, n, ecc::Scheme::kSecded, "Ac"),
       rig.matrix(n, n + 1, ecc::Scheme::kSecded, "Br"),
       rig.matrix(n + 1, n + 1, ecc::Scheme::kSecded, "Cf")};
-  abft::FtDgemm ft(a.view(), b.view(), buf, hw, &rig.rt);
+  abft::FtDgemm ft(rig.input(a, "A"), rig.input(b, "B"), buf, hw, &rig.rt);
   ASSERT_EQ(ft.run(sim::MemoryTap(rig.ctx)), abft::FtStatus::kOk);
   // Same kernel without hardware assist does strictly more verify work.
   Rig rig2;
@@ -141,7 +150,8 @@ TEST(Cooperative, HardwareAssistedSkipsWorkWhenNoErrorPending) {
       rig2.matrix(n + 1, n, ecc::Scheme::kSecded, "Ac"),
       rig2.matrix(n, n + 1, ecc::Scheme::kSecded, "Br"),
       rig2.matrix(n + 1, n + 1, ecc::Scheme::kSecded, "Cf")};
-  abft::FtDgemm full(a.view(), b.view(), buf2, {}, &rig2.rt);
+  abft::FtDgemm full(rig2.input(a, "A"), rig2.input(b, "B"), buf2, {},
+                     &rig2.rt);
   ASSERT_EQ(full.run(sim::MemoryTap(rig2.ctx)), abft::FtStatus::kOk);
   EXPECT_LT(rig.sys.stats().mem_refs, rig2.sys.stats().mem_refs);
 }

@@ -434,7 +434,14 @@ TEST(ObsIntegration, InjectedFaultLeavesFullCooperativeChainInTrace) {
 
   const std::size_t n = 32;
   Rng rng(11);
-  Matrix a = Matrix::random(n, n, rng), b = Matrix::random(n, n, rng);
+  auto input = [&](const char* name) {
+    auto* p =
+        static_cast<double*>(osl.malloc_plain(n * n * sizeof(double), name));
+    const Matrix m = Matrix::random(n, n, rng);
+    std::copy_n(m.data(), m.size(), p);
+    return MatrixView(p, n, n, n);
+  };
+  const MatrixView a = input("A"), b = input("B");
   auto alloc = [&](std::size_t r, std::size_t c, const char* name) {
     void* p = osl.malloc_ecc(r * c * sizeof(double), ecc::Scheme::kSecded,
                              name, /*abft_protected=*/true);
@@ -444,7 +451,7 @@ TEST(ObsIntegration, InjectedFaultLeavesFullCooperativeChainInTrace) {
                              alloc(n + 1, n + 1, "Cf")};
   abft::FtOptions fo;
   fo.hardware_assisted = true;
-  abft::FtDgemm ft(a.view(), b.view(), buf, fo, &rt);
+  abft::FtDgemm ft(a, b, buf, fo, &rt);
   ASSERT_EQ(ft.run(sim::MemoryTap(ctx)), abft::FtStatus::kOk);
 
   // Push the result out of the caches so the injected DRAM corruption is

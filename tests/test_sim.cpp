@@ -1,5 +1,5 @@
 // Tests for the sim layer: MemoryTap translation (regions, line straddles,
-// anonymous pages), strategy specs, and the DGMS spatial predictor.
+// the region-only contract), strategy specs, and the DGMS spatial predictor.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -37,29 +37,14 @@ TEST(MemoryTapTest, RegisteredRegionTranslatesToItsFrames) {
   EXPECT_EQ(rig.sys.stats().mem_refs, 1u);
 }
 
-TEST(MemoryTapTest, UnregisteredDataGoesToAnonymousFrames) {
-  Rig rig;
-  std::vector<double> local(64);
-  MemoryTap tap(rig.ctx);
-  tap.read(&local[0]);
-  tap.read(&local[1]);
-  EXPECT_EQ(rig.ctx.refs_other(), 2u);
-  EXPECT_EQ(rig.ctx.refs_abft(), 0u);
-  // Anonymous frames live above the allocator's capacity: default scheme.
-  EXPECT_EQ(rig.sys.stats().demand_misses_other,
-            rig.sys.stats().demand_misses);
-}
-
-TEST(MemoryTapTest, AnonymousPagesAreStable) {
-  // Two references to the same host page map to the same simulated frame:
-  // the second hits the cache.
+TEST(MemoryTapTest, UnregisteredReferenceViolatesTheContract) {
+  // Simulated addresses come only from Os regions; host memory the Os
+  // never mapped has no simulated address and must not reach memsim.
   Rig rig;
   std::vector<double> local(8);
   MemoryTap tap(rig.ctx);
-  tap.read(&local[0]);
-  const auto misses = rig.sys.stats().demand_misses;
-  tap.read(&local[0]);
-  EXPECT_EQ(rig.sys.stats().demand_misses, misses);
+  EXPECT_THROW(tap.read(&local[0]), ContractViolation);
+  EXPECT_EQ(rig.sys.stats().mem_refs, 0u);
 }
 
 TEST(MemoryTapTest, StraddlingReferenceTouchesBothLines) {
@@ -88,11 +73,11 @@ TEST(MemoryTapTest, StraddleSplitUsesTheL1LineSize) {
 
 TEST(MemoryTapTest, CopiedHandlesShareState) {
   Rig rig;
-  std::vector<double> local(4);
+  auto* p = static_cast<double*>(rig.os.malloc_plain(4096, "m"));
   MemoryTap tap(rig.ctx);
   MemoryTap copy = tap;
-  tap.read(&local[0]);
-  copy.read(&local[1]);
+  tap.read(&p[0]);
+  copy.read(&p[1]);
   EXPECT_EQ(rig.ctx.refs_other(), 2u);
 }
 

@@ -5,12 +5,11 @@ Runs a fixed suite of fast, deterministic bench binaries with --json,
 distills each report to its stable performance surface (simulated cycles,
 IPC, simulated seconds, energy, FT counters, derived scalars -- never host
 wall-clock timers), and compares the result against the checked-in
-baseline `BENCH_pr5.json` at the repo root with per-metric tolerances.
+baseline `BENCH_pr5.json` at the repo root exactly.
 
-The tolerances absorb the one-cache-miss cycle wobble that host heap
-layout can introduce (see TrialOutcome::sim_seconds in campaign.hpp);
-anything beyond them -- in either direction -- fails the gate so the
-baseline is only ever moved intentionally.
+Simulated outputs depend only on config and seed, so any change -- in
+either direction -- fails the gate and the baseline is only ever moved
+intentionally.
 
 Usage:
     python3 tools/benchgate.py [--build-dir build]
@@ -21,7 +20,7 @@ uploads it as an artifact); --update additionally installs it as the
 repo-root baseline instead of comparing.
 
 Exit status: 0 on success (or after --update), 1 if any metric moved
-beyond tolerance or a metric appeared/disappeared, 2 on usage/run errors.
+or a metric appeared/disappeared, 2 on usage/run errors.
 """
 import argparse
 import json
@@ -57,16 +56,6 @@ FUSED_OVERHEAD_LIMIT = 0.10
 FUSED_OVERHEAD_SCALAR = "overhead_ratio_2048"
 PEAK_FRAC_FLOOR = 0.5
 PEAK_FRAC_SCALAR = "peak_frac_1024"
-
-# Relative tolerance per metric class; metrics not listed use DEFAULT_RTOL.
-# A metric passes when |cand - base| <= max(rtol * |base|, ATOL).
-DEFAULT_RTOL = 0.02
-ATOL = 1e-9
-RTOL = {
-    # Instruction counts come from the tap stream, not timing: exact up to
-    # floating-point control flow, so hold them much tighter than cycles.
-    "instructions": 1e-3,
-}
 
 RUN_FIELDS = [
     ("cycles", lambda r: r["cycles"]),
@@ -129,9 +118,9 @@ def metric_rows(bench):
     """Flatten one distilled bench into (metric_path, value) pairs."""
     for label, row in sorted(bench["runs"].items()):
         for field, v in sorted(row.items()):
-            yield f"runs[{label}].{field}", field, v
+            yield f"runs[{label}].{field}", v
     for name, v in sorted(bench["scalars"].items()):
-        yield f"scalars.{name}", name.rsplit(".", 1)[-1], v
+        yield f"scalars.{name}", v
 
 
 def compare(baseline, candidate):
@@ -144,25 +133,21 @@ def compare(baseline, candidate):
         if name not in candidate["benches"]:
             flagged.append((name, "<bench>", None, None, "only in baseline"))
             continue
-        base = dict((p, (f, v)) for p, f, v in
-                    metric_rows(baseline["benches"][name]))
-        cand = dict((p, (f, v)) for p, f, v in
-                    metric_rows(candidate["benches"][name]))
+        base = dict(metric_rows(baseline["benches"][name]))
+        cand = dict(metric_rows(candidate["benches"][name]))
         for path in sorted(set(base) | set(cand)):
             if path not in cand:
-                flagged.append((name, path, base[path][1], None,
+                flagged.append((name, path, base[path], None,
                                 "missing from candidate"))
                 continue
             if path not in base:
-                flagged.append((name, path, None, cand[path][1],
+                flagged.append((name, path, None, cand[path],
                                 "not in baseline"))
                 continue
-            (field, vb), (_, vc) = base[path], cand[path]
-            rtol = RTOL.get(field, DEFAULT_RTOL)
-            if abs(vc - vb) > max(rtol * abs(vb), ATOL):
+            vb, vc = base[path], cand[path]
+            if vc != vb:
                 rel = (vc - vb) / abs(vb) if vb else float("inf")
-                flagged.append((name, path, vb, vc,
-                                f"{rel:+.2%} (tol {rtol:.1%})"))
+                flagged.append((name, path, vb, vc, f"{rel:+.3g} rel"))
     return flagged
 
 
@@ -264,7 +249,7 @@ def main():
             fb = f"{vb:.6g}" if isinstance(vb, (int, float)) else "-"
             fc = f"{vc:.6g}" if isinstance(vc, (int, float)) else "-"
             print(f"{name:<28} {path:<44} {fb:>14} {fc:>14}  {why}")
-        print(f"\nbenchgate: {len(flagged)} metric(s) beyond tolerance vs "
+        print(f"\nbenchgate: {len(flagged)} metric(s) differ from "
               f"{args.baseline}")
         print("benchgate: if the change is intentional, refresh the "
               "baseline with: python3 tools/benchgate.py --update")
@@ -273,8 +258,7 @@ def main():
         return 1
     total = sum(len(list(metric_rows(b)))
                 for b in snapshot["benches"].values())
-    print(f"benchgate: OK -- {total} metrics within tolerance of "
-          f"{args.baseline}")
+    print(f"benchgate: OK -- {total} metrics equal to {args.baseline}")
     return 0
 
 

@@ -6,7 +6,6 @@
 // Exit status: 0 on success, 1 if any trial's outcome was unclassified
 // (its injected fault never materialized) -- the CI smoke gate.
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -67,8 +66,7 @@ void print_usage(const char* prog) {
       "                    terminal outcome, reconciled exactly against the\n"
       "                    outcome taxonomy (any orphaned or double-counted\n"
       "                    record exits 1); explore with tools/forensics.py.\n"
-      "                    Event cycle stamps are heap-layout sensitive;\n"
-      "                    everything else is seed-deterministic\n"
+      "                    Seed-deterministic, cycle stamps included\n"
       "  --json <path>     schema-stable campaign report\n"
       "  --shards <n>      run trials in n forked worker PROCESSES with\n"
       "                    work-stealing chunk scheduling instead of the\n"
@@ -82,8 +80,7 @@ void print_usage(const char* prog) {
       "  --resume          allow --checkpoint to pick up existing progress\n"
       "                    (without it, a non-empty checkpoint is an error)\n"
       "  --aggregate <p>   write the merged campaign::Accumulator JSON (one\n"
-      "                    object keyed by kernel slug); cycle sums inside\n"
-      "                    share TrialOutcome's heap-layout caveat\n"
+      "                    object keyed by kernel slug)\n"
       "  --exhaustive      enumerate the FULL SECDED(72,64) fault space (72\n"
       "                    singles + 2556 doubles per word) instead of\n"
       "                    sampling; exact counts, exit 1 if any analytic\n"
@@ -93,8 +90,7 @@ void print_usage(const char* prog) {
       "                    metrics registry (validated by tools/promcheck.py)\n"
       "                    and attach a 'telemetry' time-series section to\n"
       "                    --json; purely additive -- the per-trial JSONL and\n"
-      "                    --aggregate output stay byte-identical (pass an\n"
-      "                    empty path to keep the argv shape w/ telemetry off)\n"
+      "                    --aggregate output stay byte-identical\n"
       "plus the shared platform flags (--dgemm-dim, --cache-scale, ...);\n"
       "campaign defaults shrink the inputs so 256-trial sweeps stay fast.\n",
       prog);
@@ -405,23 +401,21 @@ int main(int argc, char** argv) {
                                 base.platform);
   base.platform.seed = input_seed;  // campaign flag wins over --seed leftovers
 
-  // Telemetry plane (opt-in via --metrics-out): trial progress is recorded
-  // as (time, trials-delta) points in a fixed static buffer while trials
-  // run, then replayed through the registry + TelemetrySampler once the
-  // last trial has finished. The recording path performs ZERO heap
-  // allocation: cycle counts are sensitive to host heap layout, so any
-  // mid-campaign malloc from the observer would move aggregate bytes.
+  // Telemetry plane (opt-in via --metrics-out): the progress callback
+  // counts finished trials in this thread's registry and samples it at
+  // most every 0.25 s. The callback runs under the campaign's progress
+  // lock, on whichever worker finished the trial, so it uses the registry
+  // resolved here rather than that worker's default.
   const bool telemetry = !report.cli().metrics_out_path.empty();
+  auto& reg = abftecc::obs::default_registry();
   abftecc::obs::TelemetrySampler sampler({240, 0.0});
-  struct TelemetryPoint {
-    double t;
-    std::uint64_t delta;
-  };
-  static std::array<TelemetryPoint, 16384> telemetry_raw;  // BSS, not heap
-  std::size_t telemetry_points = 0;
-  std::uint64_t telemetry_pending = 0;  // deltas coalesced between points
-  double telemetry_last_t = 0.0;
+  double telemetry_last_t = -1.0;  // the first progress call always samples
   const auto telemetry_epoch = std::chrono::steady_clock::now();
+  const auto telemetry_now = [&] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         telemetry_epoch)
+        .count();
+  };
 
   std::FILE* jsonl = nullptr;
   if (!jsonl_path.empty()) {
@@ -450,10 +444,8 @@ int main(int argc, char** argv) {
               std::string(abftecc::sim::spec(base.platform.strategy).label)
                   .c_str());
 
-  // All golden runs happen up front, before any trial pool exists: golden
-  // cycle counts are sensitive to host heap layout (anonymous workspace
-  // pages map by host address), and the pre-pool main-thread allocation
-  // history is the only one that is identical on every invocation.
+  // Every kernel's golden run first: its trials replay its reference
+  // stream and classify against its result.
   std::vector<abftecc::campaign::GoldenRun> goldens;
   goldens.reserve(kernels.size());
   for (const Kernel k : kernels) {
@@ -484,15 +476,10 @@ int main(int argc, char** argv) {
     std::size_t last_done = 0;
     const auto progress = [&](std::size_t done, std::size_t total) {
       if (telemetry && done >= last_done) {
-        telemetry_pending += done - last_done;
+        reg.counter("campaign.trials").add(done - last_done);
         last_done = done;
-        const double t = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - telemetry_epoch)
-                             .count();
-        if (telemetry_points < telemetry_raw.size() &&
-            (telemetry_points == 0 || t - telemetry_last_t >= 0.25)) {
-          telemetry_raw[telemetry_points++] = {t, telemetry_pending};
-          telemetry_pending = 0;
+        if (const double t = telemetry_now(); t - telemetry_last_t >= 0.25) {
+          sampler.sample(reg, t);
           telemetry_last_t = t;
         }
       }
@@ -562,13 +549,7 @@ int main(int argc, char** argv) {
     print_rates(res);
     std::printf("\n");
 
-    // Golden reference run, with the host-measured FT phase timers zeroed
-    // so rerunning the same seed writes a byte-identical report.
-    abftecc::sim::RunMetrics golden = res.golden;
-    golden.ft.encode_seconds = 0.0;
-    golden.ft.verify_seconds = 0.0;
-    golden.ft.correct_seconds = 0.0;
-    report.add_run("golden/" + std::string(kernel_name(k)), golden);
+    report.add_run("golden/" + std::string(kernel_name(k)), res.golden);
 
     const std::string slug = kernel_slug(k);
     auto rate_scalars = [&](const char* name, const Rate& r) {
@@ -655,7 +636,7 @@ int main(int argc, char** argv) {
     report.section("latency", latency_json.take());
     report.note("latency",
                 "cycle-derived recovery-latency histograms (--latencies); "
-                "excluded from the byte-determinism surface");
+                "deterministic for a fixed seed");
   }
   if (base.lineage) {
     lineage_json.end_object();
@@ -666,30 +647,19 @@ int main(int argc, char** argv) {
   }
 
   if (telemetry) {
-    // Replay the allocation-free recording into the registry now that the
-    // last trial is done and heap layout no longer matters.
-    auto& reg = abftecc::obs::default_registry();
-    for (std::size_t i = 0; i < telemetry_points; ++i) {
-      reg.counter("campaign.trials").add(telemetry_raw[i].delta);
-      sampler.sample(reg, telemetry_raw[i].t);
-    }
-    reg.counter("campaign.trials").add(telemetry_pending);  // tail flush
-    sampler.sample(reg, std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - telemetry_epoch)
-                            .count());
+    sampler.sample(reg, telemetry_now());  // tail: every trial counted
     report.section("telemetry", sampler.to_json());
     report.note("telemetry",
-                "timeseries-v1 trial-rate rings (--metrics-out); recorded "
-                "allocation-free during the run, replayed after the last "
-                "trial -- JSONL/aggregate outputs are byte-identical with "
-                "telemetry off");
+                "timeseries-v1 trial-rate rings (--metrics-out), host "
+                "wall-clock; JSONL/aggregate outputs are byte-identical "
+                "with telemetry off");
   }
 
   report.note("campaign_seed", std::to_string(base.campaign_seed));
   report.note("fault", std::string(to_string(base.fault.kind)));
   report.note("ft_phase_timers",
-              "host wall-clock encode/verify/correct timers zeroed for "
-              "deterministic reruns");
+              "golden encode/verify/correct seconds are simulated time, "
+              "deterministic for a fixed seed");
 
   if (jsonl != nullptr) {
     std::fclose(jsonl);

@@ -8,12 +8,11 @@ The ledger is JSON lines with two record shapes per trial:
   * trial records ("faults" key, no "fault"): the trial-scope summary
     (terminal label, fault count, OS log drops, recovery-tier events).
 
-Event "cycle" fields are simulated-cycle stamps and are host-heap-layout
-sensitive (see TrialOutcome::sim_seconds); every other field is
-deterministic for a fixed campaign seed. Subcommands that print cycles
-(timeline without --no-cycles, slowest) are therefore reproducible only
-within one binary invocation; `canon` strips cycles so two runs of the
-same seed can be byte-compared (the CI determinism gate).
+Event "cycle" fields are simulated-cycle stamps. Like every other field
+they are deterministic for a fixed campaign seed, whatever the thread or
+shard count, so every subcommand's output is reproducible and `canon`
+output of two runs of the same seed byte-compares (the CI determinism
+gate).
 
 Subcommands:
   timeline   per-fault stage timelines (--trial/--fault to filter)
@@ -22,12 +21,12 @@ Subcommands:
   orphans    fault records without a hardware resolution (exit 1 if any)
   reconcile  cross-check ledger terminal tallies against a campaign
              --json report (exit 1 on any mismatch)
-  canon      cycle-stripped canonical ledger lines on stdout
+  canon      canonical (key-sorted, merged) ledger lines on stdout
   rates      bin fault injections (and per-terminal tallies) over the
              simulated-cycle axis into timeseries-v1 JSON -- the same
              shape the live TelemetrySampler emits, so downstream
              consumers read post-hoc lineage rates and live telemetry
-             alike (cycle-derived, hence heap-layout sensitive)
+             alike
 
 Every subcommand accepts one or more ledger files and merges them --
 the shard-per-file layout campaignd's workers stream -- after checking
@@ -307,19 +306,11 @@ def cmd_reconcile(args):
 
 
 def cmd_canon(args):
-    """Determinism surface: ledger lines minus the cycle stamps."""
+    """Determinism surface: every ledger record, merged and key-sorted."""
     faults, trials = load_many(args.ledgers)
     out = sys.stdout
-
-    def strip(rec):
-        rec = dict(rec)
-        rec["events"] = [{k: v for k, v in e.items() if k != "cycle"}
-                         for e in rec.get("events", [])]
-        return rec
-
     for rec in faults + trials:
-        json.dump(strip(rec), out, sort_keys=True,
-                  separators=(",", ":"))
+        json.dump(rec, out, sort_keys=True, separators=(",", ":"))
         out.write("\n")
     return 0
 
@@ -385,7 +376,7 @@ def main():
     p.add_argument("--fault", type=int)
     p.add_argument("--limit", type=int, default=20)
     p.add_argument("--no-cycles", action="store_true",
-                   help="suppress cycle stamps (deterministic output)")
+                   help="suppress cycle stamps")
     p.set_defaults(fn=cmd_timeline)
 
     p = sub.add_parser("funnel", help="stage-transition counts")
@@ -409,7 +400,7 @@ def main():
                    help="print every check, not just mismatches")
     p.set_defaults(fn=cmd_reconcile)
 
-    p = sub.add_parser("canon", help="cycle-stripped canonical lines")
+    p = sub.add_parser("canon", help="canonical merged, key-sorted lines")
     p.add_argument("ledgers", nargs="+", metavar="ledger")
     p.set_defaults(fn=cmd_canon)
 
