@@ -7,6 +7,7 @@
 // mode removes those hits: every access pays an activation, so the dynamic
 // energy spread across strategies widens.
 #include "bench/report.hpp"
+#include "bench/sweep.hpp"
 #include "sim/platform.hpp"
 
 int main(int argc, char** argv) {
@@ -16,6 +17,9 @@ int main(int argc, char** argv) {
   bench::Report rep(argc, argv,
                     "Ablation: row-buffer policy vs partial-ECC savings",
                     "SC'13 Sec. 5.1 row-buffer discussion", base);
+  // The row-buffer policy and the strategy act below the caches: each
+  // kernel's front end runs live once and is replayed for the other cells.
+  bench::FrontEnds front_ends;
   for (const auto policy : {memsim::RowBufferPolicy::kOpenPage,
                             memsim::RowBufferPolicy::kClosedPage}) {
     const char* pname =
@@ -26,10 +30,10 @@ int main(int argc, char** argv) {
       PlatformOptions whole = base;
       whole.row_policy = policy;
       whole.strategy = Strategy::kWholeChipkill;
-      const RunMetrics w = run_kernel(kernel, whole);
+      const RunMetrics w = front_ends.run(kernel, whole);
       PlatformOptions part = whole;
       part.strategy = Strategy::kPartialChipkillNoEcc;
-      const RunMetrics p = run_kernel(kernel, part);
+      const RunMetrics p = front_ends.run(kernel, part);
       bench::row({std::string(kernel_name(kernel)),
                   bench::fmt(w.dram.row_hit_rate(), 2),
                   bench::fmt_sci(joules(w.mem_dynamic_pj)) + "J",

@@ -194,7 +194,6 @@ TrialOutcome run_trial(const CampaignOptions& opt, const GoldenRun& golden,
   t.escalations = m.recovery.escalations;
   t.corrupted_checkpoints = m.recovery.corrupted_checkpoints;
   t.max_abs_error = max_err;
-  t.sim_seconds = m.seconds;
   t.cycles = m.sys.cpu_cycles;
   if (opt.measure_latency) {
     // First OS ECC interrupt -> end of the first recovery-path event

@@ -170,9 +170,6 @@ struct TrialOutcome {
   /// injection was lost -- the campaign counts it as unclassified.
   bool materialized = false;
   double max_abs_error = 0.0;  ///< vs. the golden result
-  /// Simulated time of the trial's run (not written to the JSONL, which
-  /// records outcomes only). Outcome fields never depend on timing.
-  double sim_seconds = 0.0;
   /// Total simulated cycles of the run (the report's cycles_by_outcome).
   std::uint64_t cycles = 0;
   /// Cycles from the first OS ECC interrupt to the end of the first

@@ -20,6 +20,8 @@ struct CacheConfig {
   unsigned line_bytes = 64;
   unsigned hit_latency_cycles = 1;  ///< CPU cycles
 
+  friend bool operator==(const CacheConfig&, const CacheConfig&) = default;
+
   [[nodiscard]] std::size_t num_sets() const {
     return size_bytes / (static_cast<std::size_t>(ways) * line_bytes);
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/error.hpp"
 #include "obs/trace.hpp"
 
 namespace abftecc::memsim {
@@ -43,8 +44,17 @@ void MemorySystem::classify_energy(std::uint64_t line_addr, Picojoules pj) {
     stats_.dram_dynamic_other_pj += pj;
 }
 
+void MemorySystem::count_demand_miss(std::uint64_t line_addr) {
+  ++stats_.demand_misses;
+  if (hooks_.region_classifier && hooks_.region_classifier(line_addr))
+    ++stats_.demand_misses_abft;
+  else
+    ++stats_.demand_misses_other;
+}
+
 void MemorySystem::dram_request(std::uint64_t line_addr, bool is_write,
                                 bool blocking) {
+  if (recorder_ != nullptr) recorder_->dram(line_addr, is_write, blocking);
   const ecc::Scheme scheme = mc_.scheme_for(line_addr);
   const AccessShape shape = shape_at(line_addr, scheme);
   const DramAddress da = map_.decompose(line_addr);
@@ -81,11 +91,7 @@ void MemorySystem::dram_request(std::uint64_t line_addr, bool is_write,
 }
 
 void MemorySystem::access(std::uint64_t phys_addr, AccessKind kind) {
-  ++stats_.mem_refs;
-  // One memory instruction plus its addressing/FP companion: the kernels
-  // under study perform roughly one arithmetic op per operand touched.
-  stats_.instructions += 2;
-  stats_.cpu_cycles += 2;
+  count_access();
 
   const bool is_write = kind != AccessKind::kRead;
   const std::uint64_t line =
@@ -93,6 +99,7 @@ void MemorySystem::access(std::uint64_t phys_addr, AccessKind kind) {
 
   const CacheAccess a1 = l1_.access(line, is_write);
   if (a1.hit) return;
+  if (recorder_ != nullptr) recorder_->l1_miss(stats_.mem_refs - 1);
 
   stats_.cpu_cycles += cfg_.l2_latency_cycles;
 
@@ -112,16 +119,31 @@ void MemorySystem::access(std::uint64_t phys_addr, AccessKind kind) {
   const CacheAccess a2 = l2_.access(line, false);
   if (a2.hit) return;
 
-  ++stats_.demand_misses;
-  if (hooks_.region_classifier && hooks_.region_classifier(line))
-    ++stats_.demand_misses_abft;
-  else
-    ++stats_.demand_misses_other;
-
+  count_demand_miss(line);
   if (a2.evicted && a2.evicted_dirty)
     dram_request(a2.evicted_line_addr, true, /*blocking=*/false);
 
   dram_request(line, false, /*blocking=*/true);
+}
+
+void MemorySystem::replay_events(FrontEndCursor& cur, std::uint64_t access) {
+  if (!cur.straddle()) replay_miss(cur);
+  if (cur.at() != access || !cur.straddle()) return;
+  cur.advance();
+  count_access();
+  if (cur.at() == access + 1) replay_miss(cur);
+}
+
+void MemorySystem::replay_miss(FrontEndCursor& cur) {
+  ABFTECC_REQUIRE(!cur.straddle());
+  stats_.cpu_cycles += cfg_.l2_latency_cycles;
+  DramRequest r;
+  while (cur.next_request(r)) {
+    // A recorded miss's only blocking request is its demand fill.
+    if (r.blocking) count_demand_miss(r.line_addr);
+    dram_request(r.line_addr, r.is_write, r.blocking);
+  }
+  cur.advance();
 }
 
 Picojoules MemorySystem::processor_energy_pj() const {

@@ -20,6 +20,7 @@
 #include "memsim/cache.hpp"
 #include "memsim/config.hpp"
 #include "memsim/dram.hpp"
+#include "memsim/front_end.hpp"
 #include "memsim/memory_controller.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -83,6 +84,20 @@ class MemorySystem {
   /// One memory reference from the core. kUpdate is a read-modify-write of
   /// one location (single cache access that dirties the line).
   void access(std::uint64_t phys_addr, AccessKind kind);
+
+  /// One access replayed from `cur` instead of looked up (DESIGN.md section
+  /// 6c): the core cost of an L1 hit, plus what the recorded front end did
+  /// at this access -- the L2 latency of an L1 miss, its DRAM requests
+  /// issued through the back end, and a straddling reference's second access.
+  void replay_access(FrontEndCursor& cur) {
+    const std::uint64_t a = stats_.mem_refs;
+    count_access();
+    if (a == cur.at()) replay_events(cur, a);
+  }
+
+  /// Record every L1 miss and DRAM request into `rec` from here on (null
+  /// stops recording).
+  void record_front_end(FrontEndRecord* rec) { recorder_ = rec; }
 
   /// Account `n` non-memory instructions (1 cycle each, in-order).
   void execute(std::uint64_t n) {
@@ -155,7 +170,17 @@ class MemorySystem {
                                cfg_.core.cpu_per_dram_cycle());
   }
   [[nodiscard]] AccessShape shape_at(std::uint64_t phys, ecc::Scheme s) const;
+  /// One memory instruction plus its addressing/FP companion: the kernels
+  /// under study perform roughly one arithmetic op per operand touched.
+  void count_access() {
+    ++stats_.mem_refs;
+    stats_.instructions += 2;
+    stats_.cpu_cycles += 2;
+  }
+  void count_demand_miss(std::uint64_t line_addr);
   void dram_request(std::uint64_t line_addr, bool is_write, bool blocking);
+  void replay_events(FrontEndCursor& cur, std::uint64_t access);
+  void replay_miss(FrontEndCursor& cur);
   void classify_energy(std::uint64_t line_addr, Picojoules pj);
 
   SystemConfig cfg_;
@@ -173,6 +198,7 @@ class MemorySystem {
   obs::Counter& dram_access_secded_;
   obs::Counter& dram_access_chipkill_;
   Hooks hooks_;
+  FrontEndRecord* recorder_ = nullptr;
   /// Fixed controller/queueing overhead added to every DRAM round trip.
   static constexpr unsigned kMcOverheadCpuCycles = 12;
 };

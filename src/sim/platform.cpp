@@ -73,6 +73,16 @@ abft::FtOptions ft_options(const PlatformOptions& opt) {
 
 }  // namespace
 
+bool same_front_end(const PlatformOptions& a, const PlatformOptions& b) {
+  return a.backend == b.backend && a.dgemm_dim == b.dgemm_dim &&
+         a.cholesky_dim == b.cholesky_dim && a.cg_dim == b.cg_dim &&
+         a.cg_iterations == b.cg_iterations && a.hpl_dim == b.hpl_dim &&
+         a.hpl_processes == b.hpl_processes &&
+         a.verify_period == b.verify_period &&
+         a.hardware_assisted == b.hardware_assisted && a.seed == b.seed &&
+         a.cache_scale == b.cache_scale && a.ladder == b.ladder;
+}
+
 void record_native_metrics(const NativeBackend::Counters& counters,
                            const abft::FtStats& ft) {
   obs::Registry& reg = obs::default_registry();
@@ -196,7 +206,12 @@ struct Session::Impl {
   /// collect_native records per-run deltas into the registry.
   NativeBackend::Counters native_seen;
 
-  Impl(const PlatformOptions& o, memsim::Hooks hooks, bool private_obs)
+  /// Session builds with a front-end record or replay run once, fault free.
+  bool front_end = false;
+  bool ran = false;
+
+  Impl(const PlatformOptions& o, memsim::Hooks hooks, bool private_obs,
+       memsim::FrontEndRecord* record, const memsim::FrontEndRecord* replay)
       : opt(o) {
     if (private_obs) {
       own_registry = std::make_unique<obs::Registry>();
@@ -232,6 +247,13 @@ struct Session::Impl {
     }
     ctx = std::make_unique<TapContext>(*osl, *sys);
     inj = std::make_unique<fault::Injector>(*sys, *osl);
+    if (record != nullptr || replay != nullptr) {
+      ABFTECC_REQUIRE(record == nullptr || replay == nullptr);
+      ABFTECC_REQUIRE(opt.backend == BackendMode::kSimulated && rm == nullptr);
+      front_end = true;
+      if (record != nullptr) ctx->record(*record);
+      if (replay != nullptr) ctx->replay(*replay);
+    }
     if (opt.profile) {
       // Rebind this thread's profiler to the fresh system and restart it:
       // a new MemorySystem's counters begin at zero, so attribution must
@@ -280,14 +302,34 @@ struct Session::Impl {
     return {m.data(), n};
   }
 
+  /// A recorded or replayed run must see no fault: none queued before it
+  /// starts, none injected while it runs.
+  void require_fault_free() const {
+    ABFTECC_REQUIRE(inj->pending_lines() == 0 &&
+                    inj->stats().injected_flips == 0 &&
+                    inj->stats().injected_chip_kills == 0);
+  }
+
+  void begin_run() {
+    if (!front_end) return;
+    ABFTECC_REQUIRE(!ran);
+    ran = true;
+    require_fault_free();
+  }
+
   RunMetrics collect(Kernel k, const abft::FtStats& ft,
-                     abft::FtStatus status) const {
+                     abft::FtStatus status) {
+    if (front_end) {
+      require_fault_free();
+      ctx->finish();
+    }
+    const memsim::FrontEndRecord* replayed = ctx->replayed();
     RunMetrics m;
     m.kernel = k;
     m.strategy = opt.strategy;
     m.sys = sys->stats();
-    m.l1 = sys->l1_stats();
-    m.l2 = sys->l2_stats();
+    m.l1 = replayed != nullptr ? replayed->l1 : sys->l1_stats();
+    m.l2 = replayed != nullptr ? replayed->l2 : sys->l2_stats();
     m.dram = sys->dram_stats();
     m.seconds = sys->elapsed_seconds();
     m.ipc = m.sys.ipc();
@@ -660,6 +702,7 @@ RunMetrics Session::run(Kernel kernel) {
     ABFTECC_REQUIRE(!"unknown kernel");
     return {};
   }
+  impl_->begin_run();
   switch (kernel) {
     case Kernel::kDgemm: return impl_->run_dgemm();
     case Kernel::kCholesky: return impl_->run_cholesky();
@@ -674,6 +717,7 @@ RunMetrics Session::run(Kernel kernel) {
 RunMetrics Session::run_cg(std::size_t dim, std::size_t iterations) {
   if (impl_->opt.backend == BackendMode::kNative)
     return impl_->run_cg_native(dim, iterations);
+  impl_->begin_run();
   return impl_->run_cg(dim, iterations);
 }
 
@@ -682,8 +726,8 @@ const std::vector<double>& Session::last_result() const {
 }
 
 Session Session::Builder::build() {
-  return Session(
-      std::make_unique<Impl>(opt_, std::move(hooks_), private_obs_));
+  return Session(std::make_unique<Impl>(opt_, std::move(hooks_), private_obs_,
+                                        record_, replay_));
 }
 
 RunMetrics run_kernel(Kernel kernel, const PlatformOptions& opt) {

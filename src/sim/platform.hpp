@@ -85,6 +85,11 @@ struct PlatformOptions {
   bool profile = false;
 };
 
+/// True if runs under `a` and `b` issue the same memory references, so one
+/// can replay the other's front end: they may differ only in what acts
+/// below the caches (strategy, DGMS, row-buffer policy) or in observers.
+bool same_front_end(const PlatformOptions& a, const PlatformOptions& b);
+
 struct RunMetrics {
   Kernel kernel{};
   Strategy strategy{};
@@ -276,6 +281,23 @@ class Session::Builder {
     hooks_ = std::move(h);
     return *this;
   }
+  /// Record the front end of this session's one simulated run into `rec`
+  /// (memsim/front_end.hpp, DESIGN.md section 6c). The run must be fault
+  /// free: no ladder, no ref trigger, no injected fault, and no memory
+  /// access outside the kernel's tap (flush_caches, checkpoint traffic).
+  Builder& record_front_end(memsim::FrontEndRecord& rec) {
+    record_ = &rec;
+    return *this;
+  }
+  /// Replay `rec` as the front end of this session's one simulated run: the
+  /// kernel runs live on the exact cycle clock, and only the caches are
+  /// replaced by the record. Same preconditions as record_front_end; the
+  /// run must also issue exactly the recorded references and end with the
+  /// recorded Os layout. Each violation is a ContractViolation.
+  Builder& replay_front_end(const memsim::FrontEndRecord& rec) {
+    replay_ = &rec;
+    return *this;
+  }
   /// Give the session its own Registry + Tracer, installed as this
   /// thread's obs defaults for the session's whole lifetime (stacked
   /// sessions on one thread must be destroyed LIFO). Campaign trials use
@@ -291,6 +313,8 @@ class Session::Builder {
   PlatformOptions opt_;
   memsim::Hooks hooks_;
   bool private_obs_ = false;
+  memsim::FrontEndRecord* record_ = nullptr;
+  const memsim::FrontEndRecord* replay_ = nullptr;
 };
 
 /// Output destinations requested on a bench binary's command line.

@@ -1,5 +1,6 @@
 // Tests for the sim layer: MemoryTap translation (regions, line straddles,
-// the region-only contract), strategy specs, and the DGMS spatial predictor.
+// the region-only contract), front-end record and replay with its contract,
+// strategy specs, and the DGMS spatial predictor.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -20,8 +21,9 @@ struct Rig {
   os::Os os;
   TapContext ctx;
   explicit Rig(
-      const memsim::SystemConfig& cfg = memsim::SystemConfig::scaled(8))
-      : sys(cfg, ecc::Scheme::kChipkill), os(sys), ctx(os, sys) {}
+      const memsim::SystemConfig& cfg = memsim::SystemConfig::scaled(8),
+      ecc::Scheme scheme = ecc::Scheme::kChipkill)
+      : sys(cfg, scheme), os(sys), ctx(os, sys) {}
 };
 
 TEST(MemoryTapTest, RegisteredRegionTranslatesToItsFrames) {
@@ -69,6 +71,58 @@ TEST(MemoryTapTest, StraddleSplitUsesTheL1LineSize) {
   EXPECT_EQ(rig.sys.stats().mem_refs, 1u);
   tap.read(p + 124, 8);  // crosses the 128B boundary
   EXPECT_EQ(rig.sys.stats().mem_refs, 3u);
+}
+
+// A region larger than the L2 under `scheme`, written twice with a
+// straddling reference at every 16th line boundary: L1 and L2 misses,
+// posted writebacks and demand fills, and split references.
+void drive_straddles(Rig& rig, ecc::Scheme scheme) {
+  constexpr std::size_t kBytes = 1 << 20;
+  auto* p = static_cast<std::uint8_t*>(
+      rig.os.malloc_ecc(kBytes, scheme, "m", true));
+  ASSERT_NE(p, nullptr);
+  MemoryTap tap(rig.ctx);
+  const std::size_t line = rig.sys.config().l1.line_bytes;
+  for (int pass = 0; pass < 2; ++pass)
+    for (std::size_t off = 0; off + 8 <= kBytes; off += 8) {
+      if (off % (16 * line) == line - 8)
+        tap.update(p + off + 4, 8);  // crosses into the next line
+      else
+        tap.update(p + off, 8);
+    }
+}
+
+TEST(FrontEndReplay, StraddlingReferenceReplaysExactly) {
+  memsim::SystemConfig cfg = memsim::SystemConfig::scaled(32);
+  cfg.l1.line_bytes = 128;
+  cfg.l2.line_bytes = 128;
+  // Record under one back end, replay under another, and compare with a
+  // live run under the second.
+  memsim::FrontEndRecord rec;
+  Rig recording(cfg, ecc::Scheme::kChipkill);
+  recording.ctx.record(rec);
+  drive_straddles(recording, ecc::Scheme::kSecded);
+  recording.ctx.finish();
+  EXPECT_GT(rec.splits(), 0u);
+
+  Rig live(cfg, ecc::Scheme::kNone);
+  drive_straddles(live, ecc::Scheme::kNone);
+  Rig replayed(cfg, ecc::Scheme::kNone);
+  replayed.ctx.replay(rec);
+  drive_straddles(replayed, ecc::Scheme::kNone);
+  replayed.ctx.finish();
+
+  EXPECT_GT(live.sys.stats().writebacks, 0u);
+  EXPECT_EQ(live.sys.stats().mem_refs,
+            live.ctx.refs_abft() + live.ctx.refs_other() + rec.splits());
+  EXPECT_TRUE(replayed.sys.stats() == live.sys.stats());
+  EXPECT_TRUE(replayed.sys.dram_stats() == live.sys.dram_stats());
+  EXPECT_TRUE(rec.l1 == live.sys.l1_stats());
+  EXPECT_TRUE(rec.l2 == live.sys.l2_stats());
+  EXPECT_EQ(replayed.ctx.refs_abft(), live.ctx.refs_abft());
+  EXPECT_EQ(replayed.ctx.refs_other(), live.ctx.refs_other());
+  EXPECT_NE(replayed.sys.stats().dram_dynamic_pj,
+            recording.sys.stats().dram_dynamic_pj);  // the back ends differ
 }
 
 TEST(MemoryTapTest, CopiedHandlesShareState) {
@@ -200,6 +254,99 @@ TEST(Session, PrivateObservabilityKeepsThreadDefaultsClean) {
   }
   EXPECT_EQ(&obs::default_registry(), &outer);
   EXPECT_EQ(outer.counter("memsim.dram_access.secded").value(), before);
+}
+
+PlatformOptions small_dgemm() {
+  PlatformOptions opt;
+  opt.dgemm_dim = 32;
+  opt.cache_scale = 32;
+  return opt;
+}
+
+memsim::FrontEndRecord record_dgemm(const PlatformOptions& opt) {
+  memsim::FrontEndRecord rec;
+  Session::Builder(opt).record_front_end(rec).build().run(Kernel::kDgemm);
+  return rec;
+}
+
+TEST(FrontEndReplay, ReplayEqualsLiveRunUnderAnotherStrategy) {
+  PlatformOptions opt = small_dgemm();
+  opt.strategy = Strategy::kNoEcc;
+  const memsim::FrontEndRecord rec = record_dgemm(opt);
+  EXPECT_GT(rec.bytes(), 0u);
+  opt.strategy = Strategy::kPartialChipkillSecded;
+  const RunMetrics live = run_kernel(Kernel::kDgemm, opt);
+  Session s = Session::Builder(opt).replay_front_end(rec).build();
+  EXPECT_TRUE(s.run(Kernel::kDgemm) == live);
+  // A session runs one recorded or replayed kernel.
+  EXPECT_THROW(s.run(Kernel::kDgemm), ContractViolation);
+}
+
+TEST(FrontEndReplay, DifferentReferenceCountViolatesTheContract) {
+  PlatformOptions opt = small_dgemm();
+  const memsim::FrontEndRecord rec = record_dgemm(opt);
+  opt.hardware_assisted = true;  // same buffers, fewer verify references
+  Session s = Session::Builder(opt).replay_front_end(rec).build();
+  EXPECT_THROW(s.run(Kernel::kDgemm), ContractViolation);
+}
+
+TEST(FrontEndReplay, DifferentRegionLayoutViolatesTheContract) {
+  const PlatformOptions opt = small_dgemm();
+  const memsim::FrontEndRecord rec = record_dgemm(opt);
+  Session s = Session::Builder(opt).replay_front_end(rec).build();
+  (void)s.plain_matrix(8, 8, "extra");  // shifts every kernel buffer
+  EXPECT_THROW(s.run(Kernel::kDgemm), ContractViolation);
+}
+
+TEST(FrontEndReplay, DifferentCacheConfigViolatesTheContract) {
+  PlatformOptions opt = small_dgemm();
+  const memsim::FrontEndRecord rec = record_dgemm(opt);
+  opt.cache_scale = 16;
+  EXPECT_THROW(Session::Builder(opt).replay_front_end(rec).build(),
+               ContractViolation);
+}
+
+TEST(FrontEndReplay, ArmedRefTriggerViolatesTheContract) {
+  const PlatformOptions opt = small_dgemm();
+  const memsim::FrontEndRecord rec = record_dgemm(opt);
+  Session s = Session::Builder(opt).replay_front_end(rec).build();
+  EXPECT_THROW(s.tap_context().set_ref_trigger(10, [] {}),
+               ContractViolation);
+}
+
+TEST(FrontEndReplay, PendingInjectedFaultViolatesTheContract) {
+  const PlatformOptions opt = small_dgemm();
+  const memsim::FrontEndRecord rec = record_dgemm(opt);
+  Session s = Session::Builder(opt).replay_front_end(rec).build();
+  s.injector().inject_bit(0, 0);
+  EXPECT_THROW(s.run(Kernel::kDgemm), ContractViolation);
+}
+
+TEST(FrontEndReplay, RecoveryManagerViolatesTheContract) {
+  PlatformOptions opt = small_dgemm();
+  const memsim::FrontEndRecord rec = record_dgemm(opt);
+  opt.ladder = true;
+  EXPECT_THROW(Session::Builder(opt).replay_front_end(rec).build(),
+               ContractViolation);
+  memsim::FrontEndRecord other;
+  EXPECT_THROW(Session::Builder(opt).record_front_end(other).build(),
+               ContractViolation);
+}
+
+TEST(FrontEndReplay, DirectMemoryAccessViolatesTheContract) {
+  const PlatformOptions opt = small_dgemm();
+  const memsim::FrontEndRecord rec = record_dgemm(opt);
+  {
+    Session s = Session::Builder(opt).replay_front_end(rec).build();
+    s.flush_caches();
+    EXPECT_THROW(s.run(Kernel::kDgemm), ContractViolation);
+  }
+  {
+    memsim::FrontEndRecord other;
+    Session s = Session::Builder(opt).record_front_end(other).build();
+    s.flush_caches();
+    EXPECT_THROW(s.run(Kernel::kDgemm), ContractViolation);
+  }
 }
 
 }  // namespace

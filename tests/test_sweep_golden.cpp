@@ -1,5 +1,6 @@
 // Exact golden values for all 24 cells of the paper sweep, and the
-// parallel sweep's equality with a serial loop.
+// parallel, front-end-replaying sweep's equality with a serial loop of live
+// runs.
 //
 // Every kernel references only Os-registered memory (the tap enforces it),
 // so simulated cycles and energies depend only on the config and the seed:
@@ -106,8 +107,9 @@ std::string cell_name(const ::testing::TestParamInfo<GoldenCell>& info) {
 INSTANTIATE_TEST_SUITE_P(HeapIndependentCells, SweepGolden,
                          ::testing::ValuesIn(kGolden), cell_name);
 
-TEST(ParallelSweep, EqualsSerialLoopWithFoldedInstruments) {
-  PlatformOptions o = sweep_options();
+// The parallel sweep -- one live cell per kernel recording its front end,
+// five replaying it -- against a serial loop of live runs.
+void expect_sweep_equals_serial_loop(PlatformOptions o) {
   o.profile = true;
   // A ring smaller than one cell's events, so the fold must reproduce the
   // serial wrap (survivors, sequence numbers, drop count) exactly.
@@ -140,6 +142,9 @@ TEST(ParallelSweep, EqualsSerialLoopWithFoldedInstruments) {
     const obs::ProfilerScope ps(par_prof);
     sweep = bench::run_sweep(o);
   }
+  EXPECT_EQ(sweep.recordings, bench::kSweepKernels.size());
+  EXPECT_EQ(sweep.replays,
+            bench::kSweepKernels.size() * (kAllStrategies.size() - 1));
 
   std::size_t i = 0;
   for (const Kernel k : bench::kSweepKernels)
@@ -160,6 +165,28 @@ TEST(ParallelSweep, EqualsSerialLoopWithFoldedInstruments) {
 
   EXPECT_FALSE(serial_prof.nodes().empty());
   EXPECT_EQ(par_prof.to_json(), serial_prof.to_json());
+}
+
+TEST(ParallelSweep, EqualsSerialLoopWithFoldedInstruments) {
+  expect_sweep_equals_serial_loop(sweep_options());
+}
+
+// Options every strategy shares but that change the front end or the
+// DRAM timing: the replays must stay exact off the defaults too.
+TEST(ParallelSweep, EqualsSerialLoopUnderNonDefaultOptions) {
+  PlatformOptions o = sweep_options();
+  o.row_policy = memsim::RowBufferPolicy::kClosedPage;
+  o.hardware_assisted = true;
+  o.verify_period = 2;
+  expect_sweep_equals_serial_loop(o);
+}
+
+TEST(ParallelSweep, RefusesTheRecoveryLadder) {
+  // Ladder runs take checkpoints outside the kernel's tap, so their front
+  // end cannot be replayed; the sweep says so instead of running live.
+  PlatformOptions o = sweep_options();
+  o.ladder = true;
+  EXPECT_THROW(bench::run_sweep(o), ContractViolation);
 }
 
 TEST(ParallelSweep, CellErrorIsRethrownOnTheCallingThread) {
