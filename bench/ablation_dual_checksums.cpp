@@ -39,13 +39,14 @@ Survival survive(std::size_t n, unsigned errors_per_trial, int trials,
     Matrix a = Matrix::random(n, n, rng), b = Matrix::random(n, n, rng);
     auto bufs = make();
     Ft ft(a.view(), b.view(), bufs.buffers());
-    if (ft.run() != abft::FtStatus::kOk) continue;
+    NativeBackend be;
+    if (ft.run(be) != abft::FtStatus::kOk) continue;
     Matrix ref(n, n);
     linalg::gemm(1.0, a.view(), b.view(), 0.0, ref.view());
     for (unsigned e = 0; e < errors_per_trial; ++e)
       bufs.cf(rng.below(n), rng.below(n)) +=
           rng.uniform(1.0, 40.0) * (rng.below(2) ? 1 : -1);
-    const auto st = ft.verify_and_correct();
+    const auto st = ft.verify_and_correct(be);
     const bool ok = max_abs_diff(ft.result(), ref.view()) < 1e-6;
     if (st == abft::FtStatus::kUncorrectable)
       ++out.refused;
@@ -90,6 +91,7 @@ int main(int argc, char** argv) {
     Matrix a = Matrix::random(n * 4, n * 4, rng);
     Matrix b = Matrix::random(n * 4, n * 4, rng);
     double t_single = 0, t_dual = 0;
+    NativeBackend be;
     // r == 0 is a discarded warm-up round (first-touch page faults and
     // cache warm-up would otherwise penalize whichever variant runs first).
     for (int r = 0; r < 4; ++r) {
@@ -99,14 +101,14 @@ int main(int argc, char** argv) {
       abft::FtDgemm single(a.view(), b.view(),
                            {ac1.view(), br1.view(), cf1.view()});
       double t0 = now_seconds();
-      single.run();
+      single.run(be);
       if (!warmup) t_single += now_seconds() - t0;
       Matrix ac2(4 * n + 2, 4 * n), br2(4 * n, 4 * n + 2),
           cf2(4 * n + 2, 4 * n + 2);
       abft::FtDgemmDual dual(a.view(), b.view(),
                              {ac2.view(), br2.view(), cf2.view()});
       t0 = now_seconds();
-      dual.run();
+      dual.run(be);
       if (!warmup) t_dual += now_seconds() - t0;
     }
     std::printf("clean-run time at n=%zu: single %.3fs, dual %.3fs (+%s)\n\n",

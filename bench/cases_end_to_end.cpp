@@ -50,7 +50,7 @@ struct Deployment {
            s.abft_matrix(n + 1, n + 1, "Cf")};
     ft = std::make_unique<abft::FtDgemm>(sa, sb, buf, abft::FtOptions{},
                                          &s.runtime());
-    ft->run(s.tap());
+    ft->run(s.backend());
     s.flush_caches();
   }
 
@@ -65,7 +65,7 @@ struct Deployment {
         s.memory().access(phys_of(&buf.cf(i, j)), memsim::AccessKind::kRead);
     const bool hw_notified = s.os().has_exposed_errors();
     const auto ecc_corrected = s.memory().controller().corrected_count();
-    const auto st = ft->verify_and_correct(s.tap());
+    const auto st = ft->verify_and_correct(s.backend());
     out.result_correct = max_abs_diff(ft->result(), ref.view()) < 1e-7;
     if (st == abft::FtStatus::kUncorrectable || !out.result_correct) {
       out.path = "checkpoint/restart";

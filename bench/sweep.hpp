@@ -1,5 +1,5 @@
-// Shared 6-strategy x 4-kernel sweep used by the Figure 5/6/7 harnesses, and
-// the front-end record/replay entry the back-end comparisons share.
+// The 6-strategy x 4-kernel paper sweep behind Figures 5-7 (paper_sweep),
+// and the front-end record/replay entry the back-end comparisons share.
 #pragma once
 
 #include <malloc.h>

@@ -73,8 +73,7 @@ int main() {
   opt.hardware_assisted = true;  // Section 3.2.2 cooperative mode
   abft::FtDgemm ft(on_node(s, a, "A"), on_node(s, b, "B"), buf, opt,
                    &s.runtime());
-  sim::MemoryTap tap = s.tap();
-  ft.run(tap);
+  ft.run(s.backend());
   std::printf("    multiply finished (%llu hw-checks, no errors)\n",
               static_cast<unsigned long long>(ft.stats().verifications));
 
@@ -99,7 +98,7 @@ int main() {
               static_cast<unsigned long long>(s.os().panic_count()));
 
   std::printf("[5] ABFT simplified verification repairs the element\n");
-  const abft::FtStatus st = ft.verify_and_correct(tap);
+  const abft::FtStatus st = ft.verify_and_correct(s.backend());
   Matrix ref(n, n);
   linalg::gemm(1.0, a.view(), b.view(), 0.0, ref.view());
   const double err = max_abs_diff(ft.result(), ref.view());
@@ -137,7 +136,7 @@ int main() {
     buf2.cf(40, 20) += 1000.0;
     buf2.cf(40, 30) += 1000.0;
   });
-  const abft::FtStatus st2 = ft2.run(s2.tap());
+  const abft::FtStatus st2 = ft2.run(s2.backend());
   Matrix ref2(n, n);
   linalg::gemm(1.0, a2.view(), b2.view(), 0.0, ref2.view());
   const double err2 = max_abs_diff(ft2.result(), ref2.view());

@@ -47,8 +47,8 @@ bool demo_ft_cg() {
   };
   abft::FtCg ft(sys.a.view(), b, {x, r, z, p, q, w}, copt);
   std::uint64_t refs = 0;
-  CorruptOnce tap{&r[100], &refs};
-  const abft::FtCgResult res = ft.run(tap);
+  TapBackend be(CorruptOnce{&r[100], &refs});
+  const abft::FtCgResult res = ft.run(be);
 
   double err = 0;
   for (std::size_t i = 0; i < n; ++i)
@@ -71,19 +71,20 @@ bool demo_ft_hpl() {
 
   const std::size_t h = n / procs;
   Matrix ae(n + h, n + 1), uc(h, n + 1);
-  abft::FtHpl ft(sys.a.view(), sys.b, procs, {ae.view(), uc.view()});
+  NativeBackend be;
+  abft::FtHpl ft(be, sys.a.view(), sys.b, procs, {ae.view(), uc.view()});
 
   // Factor half-way, then "process 2 dies" taking its rows with it.
-  ft.factor_steps(n / 2);
+  ft.factor_steps(n / 2, be);
   std::printf("  factored %zu of %zu columns; killing process 2 (%zu rows)\n",
               ft.next_block(), n, h);
   ft.simulate_failstop(2);
-  if (ft.recover_process(2) != abft::FtStatus::kCorrectedErrors) {
+  if (ft.recover_process(2, be) != abft::FtStatus::kCorrectedErrors) {
     std::printf("  recovery failed\n");
     return false;
   }
   std::printf("  recovered all %zu rows from the checksum relationships\n", h);
-  if (ft.factor_steps(n) != abft::FtStatus::kOk) return false;
+  if (ft.factor_steps(n, be) != abft::FtStatus::kOk) return false;
 
   std::vector<double> x(n);
   ft.solve(x);

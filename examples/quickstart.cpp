@@ -26,8 +26,9 @@ int main() {
   Matrix ac(n + 1, n), br(n, n + 1), cf(n + 1, n + 1);
   abft::FtDgemm ft(a.view(), b.view(), {ac.view(), br.view(), cf.view()});
 
-  // 3. Multiply. (Verification runs periodically inside.)
-  if (ft.run() != abft::FtStatus::kOk) {
+  // 3. Multiply on the host. (Verification runs periodically inside.)
+  NativeBackend host;
+  if (ft.run(host) != abft::FtStatus::kOk) {
     std::printf("unexpected ABFT status\n");
     return 1;
   }
@@ -39,7 +40,7 @@ int main() {
   std::printf("injected: C(37,91) += 1e6\n");
 
   // 5. ...and let ABFT repair it from the checksum relationship.
-  const abft::FtStatus st = ft.verify_and_correct();
+  const abft::FtStatus st = ft.verify_and_correct(host);
   std::printf("verification: %s, %llu error(s) corrected\n",
               st == abft::FtStatus::kCorrectedErrors ? "corrected" : "clean",
               static_cast<unsigned long long>(ft.stats().errors_corrected));

@@ -29,10 +29,10 @@ struct ColumnError {
 
 /// Compute sum and weighted checksums of each column of `a` into `sum` and
 /// `weighted` (both length a.cols()). Weights are w_i = i + 1 + row_offset.
-template <MemTap Tap = NullTap>
+template <MemTap Tap>
 void column_checksums(ConstMatrixView a, std::span<double> sum,
-                      std::span<double> weighted, std::size_t row_offset = 0,
-                      Tap tap = {}) {
+                      std::span<double> weighted, std::size_t row_offset,
+                      Tap tap) {
   ABFTECC_REQUIRE(sum.size() == a.cols() && weighted.size() == a.cols());
   for (std::size_t j = 0; j < a.cols(); ++j) {
     double s = 0.0, w = 0.0;
@@ -51,13 +51,12 @@ void column_checksums(ConstMatrixView a, std::span<double> sum,
 /// Compare freshly computed column checksums against maintained ones and
 /// locate single-per-column errors. `scale` is a magnitude reference for
 /// the relative tolerance (e.g. a norm of the matrix).
-template <MemTap Tap = NullTap>
+template <MemTap Tap>
 std::vector<ColumnError> verify_columns(ConstMatrixView a,
                                         std::span<const double> sum,
                                         std::span<const double> weighted,
                                         double tolerance, double scale,
-                                        std::size_t row_offset = 0,
-                                        Tap tap = {}) {
+                                        std::size_t row_offset, Tap tap) {
   ABFTECC_REQUIRE(sum.size() == a.cols() && weighted.size() == a.cols());
   std::vector<ColumnError> errors;
   const double threshold =

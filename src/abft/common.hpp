@@ -53,10 +53,11 @@ struct FtStats {
 /// Scoped phase timer accumulating into an FtStats field. Reads the
 /// backend's native time source (common/backend.hpp): simulated cycles in
 /// simulated mode -- deterministic, immune to host scheduling noise -- and
-/// host steady_clock in native mode or when no backend is attached.
+/// host steady_clock in native mode. The clock has no default, so every
+/// timer names the backend's.
 class PhaseTimer {
  public:
-  explicit PhaseTimer(double& sink, TickClock clock = {})
+  PhaseTimer(double& sink, TickClock clock)
       : sink_(sink), clock_(clock), start_(clock_.now()) {}
   ~PhaseTimer() { sink_ += clock_.seconds_since(start_); }
   PhaseTimer(const PhaseTimer&) = delete;

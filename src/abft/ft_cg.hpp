@@ -80,12 +80,9 @@ class FtCg {
   /// time source both come from the backend.
   template <MemBackend B>
   FtCgResult run(B& be) {
+    using Tap = typename B::Tap;
     clock_ = be.clock();
-    return run(be.tap());
-  }
-
-  template <MemTap Tap = NullTap>
-  FtCgResult run(Tap tap = {}) {
+    Tap tap = be.tap();
     const std::size_t n = b_.size();
     linalg::JacobiPreconditioner m{ConstMatrixView(a_), scratch(0)};
     encode_b(tap);
@@ -111,7 +108,7 @@ class FtCg {
       res.cg.iterations = it + 1;
       if (++since_verify >= opt_.verify_period) {
         since_verify = 0;
-        const FtStatus st = verify_and_correct(m, rho, tap);
+        const FtStatus st = verify_and_correct(m, rho, be);
         if (st == FtStatus::kUncorrectable) {
           res.status = st;
           return res;
@@ -121,7 +118,7 @@ class FtCg {
           linalg::nrm2<Tap>(std::span<const double>(buf_.r), tap);
       if (res.cg.residual_norm <= threshold) {
         // Final guard: never report convergence off a corrupted state.
-        const FtStatus st = verify_and_correct(m, rho, tap);
+        const FtStatus st = verify_and_correct(m, rho, be);
         if (st == FtStatus::kUncorrectable) {
           res.status = st;
           return res;
@@ -144,9 +141,11 @@ class FtCg {
   [[nodiscard]] const FtStats& stats() const { return stats_; }
 
   /// Public for tests: one verification pass (rho is refreshed on repair).
-  template <MemTap Tap = NullTap>
+  template <MemBackend B>
   FtStatus verify_and_correct(const linalg::JacobiPreconditioner& m,
-                              double& rho, Tap tap = {}) {
+                              double& rho, B& be) {
+    clock_ = be.clock();
+    auto tap = be.tap();
     ++stats_.verifications;
     ScopedPhase phase(rt_, obs::EventKind::kVerify, "ft_cg.verify");
     if (opt_.hardware_assisted && rt_ != nullptr &&
@@ -156,7 +155,7 @@ class FtCg {
       rt_->drain_located_errors();  // locations noted; repair is uniform
       ++stats_.hw_notifications_used;
       ++stats_.errors_detected;
-      PhaseTimer tc(stats_.correct_seconds);
+      PhaseTimer tc(stats_.correct_seconds, clock_);
       ScopedPhase recover(rt_, obs::EventKind::kRecover, "ft_cg.recover");
       repair(m, rho, tap);
       ++stats_.errors_corrected;
@@ -324,10 +323,7 @@ class FtCg {
   linalg::CgOptions cg_opt_;
   FtOptions opt_;
   Runtime* rt_;
-  /// FtStats time source: simulated cycles when the runtime has an Os
-  /// attached, host steady_clock otherwise; run(backend) overrides it
-  /// with the backend's clock.
-  TickClock clock_ = rt_ != nullptr ? rt_->clock() : TickClock{};
+  TickClock clock_;  ///< FtStats time source: the current backend's clock
   std::size_t ids_[6] = {};
   /// Slice `i` of the 4n workspace: 0 inverse diagonal, 1 column sums of
   /// A, 2 weighted column sums of A, 3 verify residual.

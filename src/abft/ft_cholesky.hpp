@@ -65,11 +65,7 @@ class FtCholesky {
   template <MemBackend B>
   FtStatus run(B& be) {
     clock_ = be.clock();
-    return run(be.tap());
-  }
-
-  template <MemTap Tap = NullTap>
-  FtStatus run(Tap tap = {}) {
+    auto tap = be.tap();
     const std::size_t n = buf_.a.rows();
     scale_ = mean_abs(buf_.a);
     if (scale_ == 0.0) scale_ = 1.0;
@@ -77,7 +73,7 @@ class FtCholesky {
     for (std::size_t k = 0; k < n; k += nb_) {
       const std::size_t b = std::min(nb_, n - k);
       // (0) verify every column against its maintained checksums.
-      const FtStatus vst = verify_and_correct(k, tap);
+      const FtStatus vst = verify_and_correct(k, be);
       if (vst == FtStatus::kUncorrectable) return vst;
 
       // Split the panel checksums: the diagonal-block contribution goes
@@ -134,7 +130,7 @@ class FtCholesky {
       }
     }
     // Final pass over the finished factor.
-    const FtStatus vst = verify_and_correct(n, tap);
+    const FtStatus vst = verify_and_correct(n, be);
     if (vst == FtStatus::kUncorrectable) return vst;
     return stats_.errors_corrected > 0 ? FtStatus::kCorrectedErrors
                                        : FtStatus::kOk;
@@ -147,8 +143,10 @@ class FtCholesky {
 
   /// Public for tests: verify/correct every column against its maintained
   /// checksums. `k` only selects the hardware-notification window.
-  template <MemTap Tap = NullTap>
-  FtStatus verify_and_correct(std::size_t k, Tap tap = {}) {
+  template <MemBackend B>
+  FtStatus verify_and_correct(std::size_t k, B& be) {
+    clock_ = be.clock();
+    auto tap = be.tap();
     ++stats_.verifications;
     ScopedPhase phase(rt_, obs::EventKind::kVerify, "ft_cholesky.verify");
     if (opt_.hardware_assisted && rt_ != nullptr &&
@@ -268,7 +266,7 @@ class FtCholesky {
       const double ds = s - buf_.sum[j];
       if (std::abs(ds) <= threshold) continue;
       ++stats_.errors_detected;
-      PhaseTimer tc(stats_.correct_seconds);
+      PhaseTimer tc(stats_.correct_seconds, clock_);
       tap.read(&buf_.weighted[j]);
       const double dw = w - buf_.weighted[j];
       const auto row =
@@ -387,10 +385,7 @@ class FtCholesky {
   Buffers buf_;
   FtOptions opt_;
   Runtime* rt_;
-  /// FtStats time source: simulated cycles when the runtime has an Os
-  /// attached, host steady_clock otherwise; run(backend) overrides it
-  /// with the backend's clock.
-  TickClock clock_ = rt_ != nullptr ? rt_->clock() : TickClock{};
+  TickClock clock_;  ///< FtStats time source: the current backend's clock
   std::size_t nb_;
   std::size_t struct_id_ = 0;
   double scale_ = 1.0;

@@ -56,25 +56,20 @@ class FtDgemm {
   FtDgemm(const FtDgemm&) = delete;
   FtDgemm& operator=(const FtDgemm&) = delete;
 
-  /// Run through a memory backend (common/backend.hpp): same algorithm,
-  /// with the tap and the FtStats time source both supplied by the
-  /// backend -- simulated cycles under SimBackend, steady_clock under
-  /// NativeBackend.
-  template <MemBackend B>
-  FtStatus run(B& be) {
-    clock_ = be.clock();
-    return run(be.tap());
-  }
-
-  /// Full run: encode, multiply with periodic verification, final verify.
+  /// Full run through a memory backend (common/backend.hpp): encode,
+  /// multiply with periodic verification, final verify. The tap and the
+  /// FtStats time source both come from the backend -- simulated cycles
+  /// under SimBackend, steady_clock under NativeBackend.
   /// With a RecoveryManager attached to the runtime the kernel walks the
   /// escalation ladder instead of surfacing kUncorrectable: per-block
   /// recompute from the plain inputs, then rollback to the last verified
   /// checkpoint (the ac/br/cf buffers are tracked for the duration of the
   /// run and committed after every clean verification), then
   /// kUnrecoverable.
-  template <MemTap Tap = NullTap>
-  FtStatus run(Tap tap = {}) {
+  template <MemBackend B>
+  FtStatus run(B& be) {
+    clock_ = be.clock();
+    auto tap = be.tap();
     recovery::RecoveryManager* rm =
         rt_ != nullptr ? rt_->recovery() : nullptr;
     TrackedBuffers tracked;
@@ -110,7 +105,7 @@ class FtDgemm {
       kdone_ += klen;
       if (++blocks_since_verify >= opt_.verify_period || kdone_ == kk) {
         blocks_since_verify = 0;
-        const FtStatus st = checked_verify(rm, tap);
+        const FtStatus st = checked_verify(rm, be);
         if (st == FtStatus::kUncorrectable || st == FtStatus::kUnrecoverable)
           return st;
       }
@@ -121,8 +116,10 @@ class FtDgemm {
 
   /// One verification pass. In hardware-assisted mode this only consults
   /// the exposed error log unless a notification is pending.
-  template <MemTap Tap = NullTap>
-  FtStatus verify_and_correct(Tap tap = {}) {
+  template <MemBackend B>
+  FtStatus verify_and_correct(B& be) {
+    clock_ = be.clock();
+    auto tap = be.tap();
     ++stats_.verifications;
     ScopedPhase phase(rt_, obs::EventKind::kVerify, "ft_dgemm.verify");
     if (opt_.hardware_assisted && rt_ != nullptr &&
@@ -171,11 +168,11 @@ class FtDgemm {
   /// One ladder episode around a verification point. Loops until the state
   /// verifies clean or a tier budget runs out; every iteration either
   /// terminates or consumes recompute/rollback budget, so it is bounded.
-  template <MemTap Tap>
-  FtStatus checked_verify(recovery::RecoveryManager* rm, Tap tap) {
+  template <MemBackend B>
+  FtStatus checked_verify(recovery::RecoveryManager* rm, B& be) {
     bool recompute_pending = false;
     for (;;) {
-      const FtStatus st = verify_and_correct(tap);
+      const FtStatus st = verify_and_correct(be);
       if (rm == nullptr) return st;
       // An OS-demanded rollback overrides a clean checksum verdict: the
       // corruption sits outside ABFT's checksum space (tier 3 directly).
@@ -192,7 +189,7 @@ class FtDgemm {
       }
       // tier 2: regenerate the implicated rows/columns from the inputs.
       if (rm->try_recompute()) {
-        recompute_from_inputs(tap);
+        recompute_from_inputs(be.tap());
         recompute_pending = true;
         continue;
       }
@@ -487,10 +484,7 @@ class FtDgemm {
   Buffers buf_;
   FtOptions opt_;
   Runtime* rt_;
-  /// FtStats time source: simulated cycles when the runtime has an Os
-  /// attached, host steady_clock otherwise; run(backend) overrides it
-  /// with the backend's clock.
-  TickClock clock_ = rt_ != nullptr ? rt_->clock() : TickClock{};
+  TickClock clock_;  ///< FtStats time source: the current backend's clock
   std::size_t struct_id_ = 0;
   double scale_ = 1.0;
   FtStats stats_;

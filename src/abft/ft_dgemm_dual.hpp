@@ -59,11 +59,7 @@ class FtDgemmDual {
   template <MemBackend B>
   FtStatus run(B& be) {
     clock_ = be.clock();
-    return run(be.tap());
-  }
-
-  template <MemTap Tap = NullTap>
-  FtStatus run(Tap tap = {}) {
+    auto tap = be.tap();
     encode(tap);
     const std::size_t kk = a_.cols();
     std::size_t since_verify = 0;
@@ -75,22 +71,23 @@ class FtDgemmDual {
                    1.0, buf_.cf, tap);
       if (++since_verify >= opt_.verify_period) {
         since_verify = 0;
-        if (verify_and_correct(tap) == FtStatus::kUncorrectable)
+        if (verify_and_correct(be) == FtStatus::kUncorrectable)
           return FtStatus::kUncorrectable;
       }
     }
-    if (verify_and_correct(tap) == FtStatus::kUncorrectable)
+    if (verify_and_correct(be) == FtStatus::kUncorrectable)
       return FtStatus::kUncorrectable;
     return stats_.errors_corrected > 0 ? FtStatus::kCorrectedErrors
                                        : FtStatus::kOk;
   }
 
-  template <MemTap Tap = NullTap>
-  FtStatus verify_and_correct(Tap tap = {}) {
+  template <MemBackend B>
+  FtStatus verify_and_correct(B& be) {
+    clock_ = be.clock();
     ++stats_.verifications;
     ScopedPhase phase(rt_, obs::EventKind::kVerify, "ft_dgemm_dual.verify");
     PhaseTimer t(stats_.verify_seconds, clock_);
-    return full_verify(tap);
+    return full_verify(be.tap());
   }
 
   [[nodiscard]] ConstMatrixView result() const {
@@ -316,10 +313,7 @@ class FtDgemmDual {
   Buffers buf_;
   FtOptions opt_;
   Runtime* rt_;
-  /// FtStats time source: simulated cycles when the runtime has an Os
-  /// attached, host steady_clock otherwise; run(backend) overrides it
-  /// with the backend's clock.
-  TickClock clock_ = rt_ != nullptr ? rt_->clock() : TickClock{};
+  TickClock clock_;  ///< FtStats time source: the current backend's clock
   std::size_t struct_id_ = 0;
   double scale_ = 1.0;
   FtStats stats_;

@@ -42,15 +42,19 @@ class FtHpl {
     MatrixView uc;  ///< h x (n + 1): static frozen-row checksums, zeroed
   };
 
-  FtHpl(ConstMatrixView a, std::span<const double> b, std::size_t processes,
-        Buffers buf, FtOptions opt = {}, Runtime* runtime = nullptr,
-        std::size_t block = linalg::kBlock)
+  /// Encodes [A b] into `buf` untapped (`a` and `b` may be host memory),
+  /// timed on the clock of `be`, the backend the kernel will run on.
+  template <MemBackend B>
+  FtHpl(B& be, ConstMatrixView a, std::span<const double> b,
+        std::size_t processes, Buffers buf, FtOptions opt = {},
+        Runtime* runtime = nullptr, std::size_t block = linalg::kBlock)
       : n_(a.rows()),
         nproc_(processes),
         h_(a.rows() / processes),
         buf_(buf),
         opt_(opt),
         rt_(runtime),
+        clock_(be.clock()),
         nb_(block) {
     ABFTECC_REQUIRE(a.cols() == n_ && b.size() == n_);
     ABFTECC_REQUIRE(processes >= 2 && n_ % processes == 0);
@@ -76,10 +80,13 @@ class FtHpl {
   [[nodiscard]] std::size_t next_block() const { return next_k_; }
   [[nodiscard]] const FtStats& stats() const { return stats_; }
 
-  /// Factor block-columns [next_block(), k_end). Returns kNumericalFailure
-  /// on an exactly singular pivot column.
-  template <MemTap Tap = NullTap>
-  FtStatus factor_steps(std::size_t k_end, Tap tap = {}) {
+  /// Factor block-columns [next_block(), k_end) through a memory backend
+  /// (common/backend.hpp): tap and FtStats time source both come from the
+  /// backend. Returns kNumericalFailure on an exactly singular pivot column.
+  template <MemBackend B>
+  FtStatus factor_steps(std::size_t k_end, B& be) {
+    clock_ = be.clock();
+    auto tap = be.tap();
     ABFTECC_REQUIRE(k_end <= n_ && k_end >= next_k_);
     std::size_t since_verify = 0;
     while (next_k_ < k_end) {
@@ -105,27 +112,19 @@ class FtHpl {
       next_k_ = k + b;
       if (++since_verify >= opt_.verify_period) {
         since_verify = 0;
-        if (verify_active(tap) == FtStatus::kUncorrectable)
+        if (verify_active(be) == FtStatus::kUncorrectable)
           return FtStatus::kUncorrectable;
       }
     }
     return FtStatus::kOk;
   }
 
-  /// Factor through a memory backend (common/backend.hpp): tap and FtStats
-  /// time source both come from the backend.
+  /// Full factorization.
   template <MemBackend B>
   FtStatus factor(B& be) {
-    clock_ = be.clock();
-    return factor(be.tap());
-  }
-
-  /// Full factorization.
-  template <MemTap Tap = NullTap>
-  FtStatus factor(Tap tap = {}) {
-    const FtStatus st = factor_steps(n_, tap);
+    const FtStatus st = factor_steps(n_, be);
     if (st != FtStatus::kOk) return st;
-    const FtStatus vst = verify_active(tap);
+    const FtStatus vst = verify_active(be);
     if (vst == FtStatus::kUncorrectable) return vst;
     return stats_.errors_corrected > 0 ? FtStatus::kCorrectedErrors
                                        : FtStatus::kOk;
@@ -142,8 +141,10 @@ class FtHpl {
   }
 
   /// Rebuild the lost rank's rows from the two checksum blocks.
-  template <MemTap Tap = NullTap>
-  FtStatus recover_process(std::size_t process, Tap tap = {}) {
+  template <MemBackend B>
+  FtStatus recover_process(std::size_t process, B& be) {
+    clock_ = be.clock();
+    auto tap = be.tap();
     ABFTECC_REQUIRE(process < nproc_);
     PhaseTimer t(stats_.correct_seconds, clock_);
     ScopedPhase phase(rt_, obs::EventKind::kRecover, "ft_hpl.recover");
@@ -186,8 +187,10 @@ class FtHpl {
   /// row over the trailing columns. Detection only (fail-stop is the
   /// kernel's recovery target); returns kUncorrectable on mismatch so the
   /// caller can fall back.
-  template <MemTap Tap = NullTap>
-  FtStatus verify_active(Tap tap = {}) {
+  template <MemBackend B>
+  FtStatus verify_active(B& be) {
+    clock_ = be.clock();
+    auto tap = be.tap();
     ++stats_.verifications;
     ScopedPhase phase(rt_, obs::EventKind::kVerify, "ft_hpl.verify");
     if (opt_.hardware_assisted && rt_ != nullptr &&
@@ -231,14 +234,11 @@ class FtHpl {
   }
 
   /// Back-substitution after factor(): U x = (forward-eliminated b).
-  template <MemTap Tap = NullTap>
-  void solve(std::span<double> x, Tap tap = {}) {
+  /// Untapped: the representative (timed) phase is the factorization.
+  void solve(std::span<double> x) const {
     ABFTECC_REQUIRE(x.size() == n_);
-    for (std::size_t i = 0; i < n_; ++i) {
-      tap.read(&buf_.ae(i, n_));
-      x[i] = buf_.ae(i, n_);
-    }
-    linalg::trsv_upper(ConstMatrixView(buf_.ae).block(0, 0, n_, n_), x, tap);
+    for (std::size_t i = 0; i < n_; ++i) x[i] = buf_.ae(i, n_);
+    linalg::trsv_upper(ConstMatrixView(buf_.ae).block(0, 0, n_, n_), x);
   }
 
   [[nodiscard]] std::size_t position_of_original_row(std::size_t o) const {
@@ -391,10 +391,7 @@ class FtHpl {
   Buffers buf_;
   FtOptions opt_;
   Runtime* rt_;
-  /// FtStats time source: simulated cycles when the runtime has an Os
-  /// attached, host steady_clock otherwise; run(backend) overrides it
-  /// with the backend's clock.
-  TickClock clock_ = rt_ != nullptr ? rt_->clock() : TickClock{};
+  TickClock clock_;  ///< FtStats time source: the current backend's clock
   std::size_t nb_;
   std::size_t struct_id_ = 0;
   std::size_t next_k_ = 0;

@@ -37,11 +37,14 @@ class FtQr {
   };
 
   /// `a` must stay valid for the kernel's lifetime: it is the recompute
-  /// source of the recovery ladder's tier 2.
-  FtQr(ConstMatrixView a, Buffers buf, FtOptions opt = {},
+  /// source of the recovery ladder's tier 2. Encodes [A | A e | A w] into
+  /// `buf` untapped, timed on the clock of `be`, the backend the kernel
+  /// will run on.
+  template <MemBackend B>
+  FtQr(B& be, ConstMatrixView a, Buffers buf, FtOptions opt = {},
        Runtime* runtime = nullptr, std::size_t block = linalg::kBlock)
       : a_(a), m_(a.rows()), n_(a.cols()), buf_(buf), opt_(opt), rt_(runtime),
-        nb_(block) {
+        clock_(be.clock()), nb_(block) {
     ABFTECC_REQUIRE(m_ >= n_);
     ABFTECC_REQUIRE(buf.aw.rows() == m_ && buf.aw.cols() == n_ + 2);
     ABFTECC_REQUIRE(buf.tau.size() == n_);
@@ -72,17 +75,20 @@ class FtQr {
   FtQr(const FtQr&) = delete;
   FtQr& operator=(const FtQr&) = delete;
 
-  /// Factor panel block-columns up to `k_end`, verifying before each panel.
-  /// With a RecoveryManager attached the verification point walks the
+  /// Factor panel block-columns up to `k_end` through a memory backend
+  /// (common/backend.hpp), verifying before each panel. With a
+  /// RecoveryManager attached the verification point walks the
   /// escalation ladder: trailing-block recompute from the original input
   /// (replaying the stored reflectors), then rollback to the last verified
   /// panel-boundary checkpoint, then kUnrecoverable.
-  template <MemTap Tap = NullTap>
-  FtStatus factor_steps(std::size_t k_end, Tap tap = {}) {
+  template <MemBackend B>
+  FtStatus factor_steps(std::size_t k_end, B& be) {
+    clock_ = be.clock();
+    auto tap = be.tap();
     recovery::RecoveryManager* rm = recovery_manager();
     ABFTECC_REQUIRE(k_end <= n_ && k_end >= next_k_);
     while (next_k_ < k_end) {
-      const FtStatus vst = checked_verify(rm, tap);
+      const FtStatus vst = checked_verify(rm, be);
       if (vst == FtStatus::kUncorrectable || vst == FtStatus::kUnrecoverable)
         return vst;
       const std::size_t k = next_k_;
@@ -96,20 +102,12 @@ class FtQr {
     return FtStatus::kOk;
   }
 
-  /// Factor through a memory backend (common/backend.hpp): tap and FtStats
-  /// time source both come from the backend.
+  /// Full factorization with a final verification pass.
   template <MemBackend B>
   FtStatus factor(B& be) {
-    clock_ = be.clock();
-    return factor(be.tap());
-  }
-
-  /// Full factorization with a final verification pass.
-  template <MemTap Tap = NullTap>
-  FtStatus factor(Tap tap = {}) {
-    const FtStatus st = factor_steps(n_, tap);
+    const FtStatus st = factor_steps(n_, be);
     if (st != FtStatus::kOk) return st;
-    const FtStatus vst = checked_verify(recovery_manager(), tap);
+    const FtStatus vst = checked_verify(recovery_manager(), be);
     if (vst == FtStatus::kUncorrectable || vst == FtStatus::kUnrecoverable)
       return vst;
     return stats_.errors_corrected > 0 ? FtStatus::kCorrectedErrors
@@ -119,8 +117,10 @@ class FtQr {
   /// Verify every row's live range against its two checksum entries and
   /// repair single-per-row errors (public for tests and for callers that
   /// interleave their own work).
-  template <MemTap Tap = NullTap>
-  FtStatus verify_and_correct(Tap tap = {}) {
+  template <MemBackend B>
+  FtStatus verify_and_correct(B& be) {
+    clock_ = be.clock();
+    auto tap = be.tap();
     ++stats_.verifications;
     ScopedPhase phase(rt_, obs::EventKind::kVerify, "ft_qr.verify");
     if (opt_.hardware_assisted && rt_ != nullptr &&
@@ -149,7 +149,7 @@ class FtQr {
       const bool w_bad = std::abs(dw) > wthreshold;
       if (!sum_bad && !w_bad) continue;
       ++stats_.errors_detected;
-      PhaseTimer tc(stats_.correct_seconds);
+      PhaseTimer tc(stats_.correct_seconds, clock_);
       if (sum_bad && !w_bad) {
         // Only the sum checksum entry disagrees: it is the corrupted one.
         tap.write(&buf_.aw(i, n_));
@@ -177,9 +177,8 @@ class FtQr {
   }
 
   /// Solve A x = b (or least squares for m > n) from the factored form.
-  template <MemTap Tap = NullTap>
-  void solve(std::span<const double> b, std::span<double> x, Tap tap = {}) {
-    linalg::qr_solve(ConstMatrixView(buf_.aw), buf_.tau, b, x, 2, tap);
+  void solve(std::span<const double> b, std::span<double> x) const {
+    linalg::qr_solve(ConstMatrixView(buf_.aw), buf_.tau, b, x, 2);
   }
 
   [[nodiscard]] const FtStats& stats() const { return stats_; }
@@ -203,11 +202,11 @@ class FtQr {
 
   /// One ladder episode around the pre-panel verification point. Bounded:
   /// every loop iteration either returns or consumes tier budget.
-  template <MemTap Tap>
-  FtStatus checked_verify(recovery::RecoveryManager* rm, Tap tap) {
+  template <MemBackend B>
+  FtStatus checked_verify(recovery::RecoveryManager* rm, B& be) {
     bool recompute_pending = false;
     for (;;) {
-      const FtStatus st = verify_and_correct(tap);
+      const FtStatus st = verify_and_correct(be);
       if (rm == nullptr) return st;
       // Corruption outside the checksum columns' reach (reflector storage,
       // untracked allocations) surfaces as an OS rollback demand and
@@ -224,7 +223,7 @@ class FtQr {
         return st;
       }
       if (rm->try_recompute()) {  // tier 2
-        recompute_trailing(tap);
+        recompute_trailing(be.tap());
         recompute_pending = true;
         continue;
       }
@@ -320,10 +319,7 @@ class FtQr {
   Buffers buf_;
   FtOptions opt_;
   Runtime* rt_;
-  /// FtStats time source: simulated cycles when the runtime has an Os
-  /// attached, host steady_clock otherwise; run(backend) overrides it
-  /// with the backend's clock.
-  TickClock clock_ = rt_ != nullptr ? rt_->clock() : TickClock{};
+  TickClock clock_;  ///< FtStats time source: the current backend's clock
   std::size_t nb_;
   std::size_t struct_id_ = 0;
   std::size_t next_k_ = 0;

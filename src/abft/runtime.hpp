@@ -14,7 +14,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/backend.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "os/os.hpp"
@@ -63,14 +62,6 @@ class Runtime {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
   [[nodiscard]] os::Os* os() { return os_; }
-
-  /// The platform's native time source (common/backend.hpp): simulated
-  /// cycles when an Os -- and hence a MemorySystem -- is attached, host
-  /// steady_clock otherwise. Kernels seed their FtStats phase timers from
-  /// this so simulated-mode attribution is deterministic.
-  [[nodiscard]] TickClock clock() const {
-    return os_ != nullptr ? os_->system().cycle_clock() : TickClock{};
-  }
 
   /// Attach the recovery escalation ladder (tiers 2-4). Kernels consult
   /// recovery() when plain ABFT correction fails; null (the default) keeps

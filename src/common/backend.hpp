@@ -12,11 +12,12 @@
 //      native mode keeps: kernels announce whole panels/tiles instead of
 //      scalars, and fault injection poisons registered regions in place.
 //
-// MemBackend and MemTap are deliberately disjoint concepts (a tap has no
-// `tap()`/`clock()`, a backend has no `read(p,n)`), so kernels can offer
-// `run(Backend&)` and `run(Tap)` overloads side by side without ambiguity.
+// A backend is the only way into an FT kernel: every public member that
+// issues references takes one, so FtStats seconds always come from the
+// backend's clock. The tap stays the inner loops' per-element interface.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <concepts>
 #include <cstddef>
@@ -176,7 +177,40 @@ class NativeBackend {
   Counters counters_;
 };
 
+/// Host-clocked backend around a bare tap, for callers that observe or
+/// perturb the reference stream themselves (tests and examples inject
+/// faults through counting taps). `touch` is forwarded per double, as in
+/// the simulated backend.
+template <MemTap T>
+class TapBackend {
+ public:
+  using Tap = T;
+
+  TapBackend() = default;
+  explicit TapBackend(T tap) : tap_(tap) {}
+
+  [[nodiscard]] Tap tap() const { return tap_; }
+  [[nodiscard]] TickClock clock() const { return {}; }
+  [[nodiscard]] BackendMode mode() const { return BackendMode::kNative; }
+
+  void touch(const void* p, std::size_t n, MemOp op) {
+    const auto* c = static_cast<const char*>(p);
+    for (std::size_t off = 0; off < n; off += sizeof(double)) {
+      const std::size_t len = std::min(n - off, sizeof(double));
+      switch (op) {
+        case MemOp::kRead: tap_.read(c + off, len); break;
+        case MemOp::kWrite: tap_.write(c + off, len); break;
+        case MemOp::kUpdate: tap_.update(c + off, len); break;
+      }
+    }
+  }
+
+ private:
+  T tap_{};
+};
+
 static_assert(MemBackend<NativeBackend>);
+static_assert(MemBackend<TapBackend<NullTap>>);
 static_assert(!MemBackend<NullTap>);
 static_assert(!MemTap<NativeBackend>);
 

@@ -1,10 +1,8 @@
 // SimBackend: the simulated implementation of the MemBackend contract
-// (common/backend.hpp). Wraps the existing TapContext so kernels running
-// through the backend interface produce the *same per-element access
-// stream* as the historical tap path -- cycles, energy, ECC interrupts and
-// campaign determinism are untouched. The clock reads the memory system's
-// cycle counter, so FtStats phase attribution in simulated mode is exact
-// and deterministic instead of host wall-clock.
+// (common/backend.hpp). Its tap issues every per-element reference into a
+// TapContext, and its clock reads the memory system's cycle counter, so
+// FtStats phase attribution in simulated mode is exact and deterministic
+// instead of host wall-clock.
 #pragma once
 
 #include <cstddef>

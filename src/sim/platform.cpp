@@ -13,7 +13,6 @@
 #include "abft/ft_dgemm_fused.hpp"
 #include "abft/ft_hpl.hpp"
 #include "abft/runtime.hpp"
-#include "sim/backend.hpp"
 #include "common/rng.hpp"
 #include "fault/injector.hpp"
 #include "linalg/generate.hpp"
@@ -193,6 +192,7 @@ struct Session::Impl {
   std::unique_ptr<abft::Runtime> rt;
   std::unique_ptr<recovery::RecoveryManager> rm;
   std::unique_ptr<TapContext> ctx;
+  std::optional<SimBackend> be;
   std::unique_ptr<fault::Injector> inj;
   void* flusher = nullptr;  ///< lazily allocated flush_caches() buffer
   std::uint64_t abft_bytes = 0;
@@ -246,6 +246,7 @@ struct Session::Impl {
           });
     }
     ctx = std::make_unique<TapContext>(*osl, *sys);
+    be.emplace(*ctx, *sys);
     inj = std::make_unique<fault::Injector>(*sys, *osl);
     if (record != nullptr || replay != nullptr) {
       ABFTECC_REQUIRE(record == nullptr || replay == nullptr);
@@ -488,7 +489,7 @@ struct Session::Impl {
     NativeRegion rae(native, ae.view(), "hpl.Ae", true);
     NativeRegion ruc(native, uc.view(), "hpl.Uc", true);
     abft::FtHpl::Buffers buf{ae.view(), uc.view()};
-    abft::FtHpl ft(lin.a.view(), lin.b, opt.hpl_processes, buf,
+    abft::FtHpl ft(native, lin.a.view(), lin.b, opt.hpl_processes, buf,
                    ft_options(opt), /*runtime=*/nullptr);
     const TickClock wall;
     const std::uint64_t t0 = wall.now();
@@ -534,8 +535,7 @@ struct Session::Impl {
     abft::FtDgemm ft(ConstMatrixView(a), ConstMatrixView(b), buf,
                      ft_options(opt), rt.get());
     obs::PhaseScope compute(obs::Phase::kCompute);
-    SimBackend be(*ctx, *sys);
-    const abft::FtStatus st = ft.run(be);
+    const abft::FtStatus st = ft.run(*be);
     if (rm != nullptr) {
       rm->store().untrack(ida);
       rm->store().untrack(idb);
@@ -557,8 +557,7 @@ struct Session::Impl {
     abft::FtCholesky::Buffers buf{a, chk.col(0), chk.col(1)};
     abft::FtCholesky ft(buf, ft_options(opt), rt.get());
     obs::PhaseScope compute(obs::Phase::kCompute);
-    SimBackend be(*ctx, *sys);
-    const abft::FtStatus st = ft.run(be);
+    const abft::FtStatus st = ft.run(*be);
     capture(ConstMatrixView(a));
     return collect(Kernel::kCholesky, ft.stats(), st);
   }
@@ -589,8 +588,7 @@ struct Session::Impl {
     cg_opt.tolerance = 1e-30;  // representative phase: run exactly N iters
     abft::FtCg ft(a, b, buf, cg_opt, ft_options(opt), rt.get());
     obs::PhaseScope compute(obs::Phase::kCompute);
-    SimBackend be(*ctx, *sys);
-    const abft::FtCgResult res = ft.run(be);
+    const abft::FtCgResult res = ft.run(*be);
     // A non-converged representative phase is the expected outcome here.
     const abft::FtStatus st = res.status == abft::FtStatus::kNumericalFailure
                                   ? abft::FtStatus::kOk
@@ -608,12 +606,11 @@ struct Session::Impl {
 
     abft::FtHpl::Buffers buf{abft_matrix(n + h, n + 1, abft_scheme, "hpl.Ae"),
                              abft_matrix(h, n + 1, abft_scheme, "hpl.Uc")};
-    abft::FtHpl ft(lin.a.view(), lin.b, opt.hpl_processes, buf,
+    abft::FtHpl ft(*be, lin.a.view(), lin.b, opt.hpl_processes, buf,
                    ft_options(opt), rt.get());
     lin = {};  // encoded into Ae: the host copy is not needed for the run
     obs::PhaseScope compute(obs::Phase::kCompute);
-    SimBackend be(*ctx, *sys);
-    const abft::FtStatus st = ft.factor(be);
+    const abft::FtStatus st = ft.factor(*be);
     // Back-substitution result: the quantity campaigns compare. Untapped:
     // the representative (timed) phase is the factorization.
     std::vector<double> x(n, 0.0);
@@ -634,6 +631,7 @@ abft::Runtime& Session::runtime() { return *impl_->rt; }
 recovery::RecoveryManager* Session::recovery() { return impl_->rm.get(); }
 fault::Injector& Session::injector() { return *impl_->inj; }
 TapContext& Session::tap_context() { return *impl_->ctx; }
+SimBackend& Session::backend() { return *impl_->be; }
 
 obs::Registry& Session::metrics() {
   return impl_->own_registry ? *impl_->own_registry : obs::default_registry();

@@ -16,8 +16,8 @@
 #include "memsim/config.hpp"
 #include "memsim/system.hpp"
 #include "recovery/types.hpp"
+#include "sim/backend.hpp"
 #include "sim/strategy.hpp"
-#include "sim/tap.hpp"
 
 namespace abftecc::abft {
 class Runtime;
@@ -160,7 +160,9 @@ class Session {
   [[nodiscard]] recovery::RecoveryManager* recovery();
   [[nodiscard]] fault::Injector& injector();
   [[nodiscard]] TapContext& tap_context();
-  [[nodiscard]] MemoryTap tap() { return MemoryTap(tap_context()); }
+  /// The simulated backend over this node's tap context and memory
+  /// system: the entry for hand-driven FT kernels.
+  [[nodiscard]] SimBackend& backend();
   /// Instruments this session records into: the thread's defaults, or the
   /// session-private pair under Builder::private_observability().
   [[nodiscard]] obs::Registry& metrics();

@@ -12,6 +12,7 @@ namespace {
 struct Fix {
   linalg::LinearSystem sys;
   std::vector<double> b, x, r, z, p, q, workspace;
+  NativeBackend be;
   explicit Fix(std::size_t n, std::uint64_t seed) {
     Rng rng(seed);
     sys = linalg::make_spd_system(n, rng);
@@ -42,7 +43,7 @@ linalg::CgOptions tight(std::size_t n) {
 TEST(FtCg, CleanSolveConverges) {
   Fix s(64, 1);
   FtCg ft(s.sys.a.view(), s.b, s.buffers(), tight(64));
-  const FtCgResult res = ft.run();
+  const FtCgResult res = ft.run(s.be);
   EXPECT_TRUE(res.cg.converged);
   EXPECT_EQ(res.status, FtStatus::kOk);
   EXPECT_LT(s.solution_error(), 1e-8);
@@ -55,7 +56,7 @@ TEST_P(FtCgSizes, ConvergesAcrossDims) {
   const int n = GetParam();
   Fix s(n, 50 + n);
   FtCg ft(s.sys.a.view(), s.b, s.buffers(), tight(n));
-  const FtCgResult res = ft.run();
+  const FtCgResult res = ft.run(s.be);
   EXPECT_TRUE(res.cg.converged);
   EXPECT_LT(s.solution_error(), 1e-7);
 }
@@ -80,8 +81,8 @@ TEST(FtCg, ResidualCorruptionDetectedAndSolveStillConverges) {
   Fix s(96, 2);
   FtCg ft(s.sys.a.view(), s.b, s.buffers(), tight(96));
   std::uint64_t counter = 0;
-  CorruptingTap tap{&s.r[40], 50.0, &counter, 200000};
-  const FtCgResult res = ft.run(tap);
+  TapBackend be(CorruptingTap{&s.r[40], 50.0, &counter, 200000});
+  const FtCgResult res = ft.run(be);
   EXPECT_TRUE(res.cg.converged);
   EXPECT_EQ(res.status, FtStatus::kCorrectedErrors);
   EXPECT_GE(ft.stats().errors_corrected, 1u);
@@ -92,8 +93,8 @@ TEST(FtCg, IterateCorruptionRecoveredByRestart) {
   Fix s(96, 3);
   FtCg ft(s.sys.a.view(), s.b, s.buffers(), tight(96));
   std::uint64_t counter = 0;
-  CorruptingTap tap{&s.x[10], 1e3, &counter, 300000};
-  const FtCgResult res = ft.run(tap);
+  TapBackend be(CorruptingTap{&s.x[10], 1e3, &counter, 300000});
+  const FtCgResult res = ft.run(be);
   EXPECT_TRUE(res.cg.converged);
   EXPECT_GE(ft.stats().errors_detected, 1u);
   EXPECT_LT(s.solution_error(), 1e-7);
@@ -103,8 +104,8 @@ TEST(FtCg, DirectionVectorCorruptionRecovered) {
   Fix s(96, 4);
   FtCg ft(s.sys.a.view(), s.b, s.buffers(), tight(96));
   std::uint64_t counter = 0;
-  CorruptingTap tap{&s.p[5], -200.0, &counter, 250000};
-  const FtCgResult res = ft.run(tap);
+  TapBackend be(CorruptingTap{&s.p[5], -200.0, &counter, 250000});
+  const FtCgResult res = ft.run(be);
   EXPECT_TRUE(res.cg.converged);
   EXPECT_LT(s.solution_error(), 1e-7);
 }
@@ -113,9 +114,9 @@ TEST(FtCg, NonFiniteIterateSanitizedAndRecovered) {
   Fix s(64, 5);
   FtCg ft(s.sys.a.view(), s.b, s.buffers(), tight(64));
   std::uint64_t counter = 0;
-  CorruptingTap tap{&s.x[3], std::numeric_limits<double>::infinity(),
-                    &counter, 150000};
-  const FtCgResult res = ft.run(tap);
+  TapBackend be(CorruptingTap{
+      &s.x[3], std::numeric_limits<double>::infinity(), &counter, 150000});
+  const FtCgResult res = ft.run(be);
   EXPECT_TRUE(res.cg.converged);
   EXPECT_LT(s.solution_error(), 1e-7);
 }
@@ -124,8 +125,8 @@ TEST(FtCg, RhsCorruptionRepairedFromStaticChecksum) {
   Fix s(96, 6);
   FtCg ft(s.sys.a.view(), s.b, s.buffers(), tight(96));
   std::uint64_t counter = 0;
-  CorruptingTap tap{&s.b[60], 25.0, &counter, 220000};
-  const FtCgResult res = ft.run(tap);
+  TapBackend be(CorruptingTap{&s.b[60], 25.0, &counter, 220000});
+  const FtCgResult res = ft.run(be);
   EXPECT_TRUE(res.cg.converged);
   EXPECT_GE(ft.stats().errors_corrected, 1u);
   // b repaired, so the converged solution solves the ORIGINAL system.
@@ -138,7 +139,7 @@ TEST(FtCg, VerificationIsPeriodic) {
   FtOptions opt;
   opt.verify_period = 2;
   FtCg ft(s.sys.a.view(), s.b, s.buffers(), tight(64), opt);
-  const FtCgResult res = ft.run();
+  const FtCgResult res = ft.run(s.be);
   EXPECT_TRUE(res.cg.converged);
   // At least iterations/period verifications (plus the convergence guard).
   EXPECT_GE(ft.stats().verifications, res.cg.iterations / 2);
@@ -159,10 +160,11 @@ TEST(FtCg, CorruptionJustBeforeConvergenceCaughtByFinalGuard) {
     void write(const void*, std::size_t = 8) { ++*c; }
     void update(const void*, std::size_t = 8) { ++*c; }
   };
-  ASSERT_TRUE(clean.run(CountTap{&total}).cg.converged);
+  TapBackend counting(CountTap{&total});
+  ASSERT_TRUE(clean.run(counting).cg.converged);
   std::uint64_t counter = 0;
-  CorruptingTap tap{&s.x[20], 77.0, &counter, total * 95 / 100};
-  const FtCgResult res = ft.run(tap);
+  TapBackend be(CorruptingTap{&s.x[20], 77.0, &counter, total * 95 / 100});
+  const FtCgResult res = ft.run(be);
   if (res.cg.converged) {
     EXPECT_LT(s.solution_error(), 1e-6);
   }

@@ -12,6 +12,7 @@ namespace {
 struct Fix {
   Matrix a;
   std::vector<double> sum, weighted;
+  NativeBackend be;
   explicit Fix(std::size_t n, std::uint64_t seed)
       : a(n, n), sum(n), weighted(n) {
     Rng rng(seed);
@@ -35,7 +36,7 @@ TEST(FtCholesky, CleanRunMatchesPlainPotrf) {
   Fix s(96, 1);
   Matrix orig = s.a;
   FtCholesky ft(s.buffers(), {}, nullptr, 32);
-  EXPECT_EQ(ft.run(), FtStatus::kOk);
+  EXPECT_EQ(ft.run(s.be), FtStatus::kOk);
   expect_valid_factor(s.a.view(), orig.view(), 1e-7);
   EXPECT_EQ(ft.stats().errors_detected, 0u);
 }
@@ -47,7 +48,7 @@ TEST_P(FtCholeskySizes, FactorsCorrectlyAcrossDims) {
   Fix s(n, 100 + n);
   Matrix orig = s.a;
   FtCholesky ft(s.buffers(), {}, nullptr, 24);
-  EXPECT_EQ(ft.run(), FtStatus::kOk);
+  EXPECT_EQ(ft.run(s.be), FtStatus::kOk);
   expect_valid_factor(s.a.view(), orig.view(), 1e-7 * n);
 }
 
@@ -58,7 +59,7 @@ TEST(FtCholesky, NonSpdInputReportsNumericalFailure) {
   Fix s(16, 2);
   s.a(5, 5) = -100.0;
   FtCholesky ft(s.buffers());
-  EXPECT_EQ(ft.run(), FtStatus::kNumericalFailure);
+  EXPECT_EQ(ft.run(s.be), FtStatus::kNumericalFailure);
 }
 
 TEST(FtCholesky, TrailingErrorDetectedLocatedAndCorrected) {
@@ -80,8 +81,8 @@ TEST(FtCholesky, TrailingErrorDetectedLocatedAndCorrected) {
   FtCholesky ft(s.buffers(), {}, nullptr, 32);
   std::uint64_t counter = 0;
   // Element deep in the trailing matrix, hit early in the run.
-  CorruptingTap tap{&s.a(100, 90), &counter, 50000};
-  const FtStatus st = ft.run(tap);
+  TapBackend be(CorruptingTap{&s.a(100, 90), &counter, 50000});
+  const FtStatus st = ft.run(be);
   EXPECT_EQ(st, FtStatus::kCorrectedErrors);
   EXPECT_GE(ft.stats().errors_corrected, 1u);
   expect_valid_factor(s.a.view(), orig.view(), 1e-6);
@@ -91,7 +92,7 @@ TEST(FtCholesky, MultipleColumnsCorrectedInOnePass) {
   Fix s(96, 4);
   FtCholesky ft(s.buffers(), {}, nullptr, 32);
   // Encode checksums for the full matrix, then corrupt three columns.
-  ft.verify_and_correct(0);  // no-op verify to exercise the clean path
+  ft.verify_and_correct(0, s.be);  // no-op verify to exercise the clean path
   Matrix orig = s.a;
   // Manually encode trailing checksums via a fresh run-less path: use the
   // public API -- run a clean factorization first, corrupt L afterwards is
@@ -117,9 +118,9 @@ TEST(FtCholesky, MultipleColumnsCorrectedInOnePass) {
   Matrix orig2 = s2.a;
   FtCholesky ft2(s2.buffers(), {}, nullptr, 32);
   std::uint64_t counter = 0;
-  MultiCorruptTap tap{&s2.a(90, 70), &s2.a(80, 75), &s2.a(95, 85), &counter,
-                      40000};
-  const FtStatus st = ft2.run(tap);
+  TapBackend be(MultiCorruptTap{&s2.a(90, 70), &s2.a(80, 75), &s2.a(95, 85),
+                                &counter, 40000});
+  const FtStatus st = ft2.run(be);
   EXPECT_EQ(st, FtStatus::kCorrectedErrors);
   EXPECT_GE(ft2.stats().errors_corrected, 3u);
   expect_valid_factor(s2.a.view(), orig2.view(), 1e-6);
@@ -145,14 +146,14 @@ TEST(FtCholesky, TwoErrorsInSameColumnUncorrectable) {
   Fix s(96, 5);
   FtCholesky ft(s.buffers(), {}, nullptr, 32);
   std::uint64_t counter = 0;
-  TwoSameColTap tap{&s.a(80, 70), &s.a(90, 70), &counter, 40000};
-  EXPECT_EQ(ft.run(tap), FtStatus::kUncorrectable);
+  TapBackend be(TwoSameColTap{&s.a(80, 70), &s.a(90, 70), &counter, 40000});
+  EXPECT_EQ(ft.run(be), FtStatus::kUncorrectable);
 }
 
 TEST(FtCholesky, ChecksumMaintenanceTrackedAsEncodeTime) {
   Fix s(96, 6);
   FtCholesky ft(s.buffers(), {}, nullptr, 32);
-  ASSERT_EQ(ft.run(), FtStatus::kOk);
+  ASSERT_EQ(ft.run(s.be), FtStatus::kOk);
   EXPECT_GT(ft.stats().encode_seconds, 0.0);
   EXPECT_GT(ft.stats().verify_seconds, 0.0);
   EXPECT_GT(ft.stats().verifications, 1u);

@@ -13,6 +13,7 @@ namespace {
 
 struct Fix {
   Matrix a, b, ac, br, cf;
+  NativeBackend be;
   Fix(std::size_t m, std::size_t n, std::size_t k, std::uint64_t seed)
       : a(m, k), b(k, n), ac(m + 1, k), br(k, n + 1), cf(m + 1, n + 1) {
     Rng rng(seed);
@@ -32,7 +33,7 @@ struct Fix {
 TEST(FtDgemm, CleanRunMatchesPlainGemm) {
   Fix s(96, 80, 112, 1);
   FtDgemm ft(s.a.view(), s.b.view(), s.buffers());
-  EXPECT_EQ(ft.run(), FtStatus::kOk);
+  EXPECT_EQ(ft.run(s.be), FtStatus::kOk);
   Matrix ref = s.reference();
   EXPECT_LT(max_abs_diff(ft.result(), ref.view()), 1e-9);
   EXPECT_EQ(ft.stats().errors_detected, 0u);
@@ -42,7 +43,7 @@ TEST(FtDgemm, CleanRunMatchesPlainGemm) {
 TEST(FtDgemm, ChecksumInvariantHoldsAfterRun) {
   Fix s(64, 64, 64, 2);
   FtDgemm ft(s.a.view(), s.b.view(), s.buffers());
-  ASSERT_EQ(ft.run(), FtStatus::kOk);
+  ASSERT_EQ(ft.run(s.be), FtStatus::kOk);
   // Column sums of the payload equal the checksum row.
   for (std::size_t j = 0; j < 64; ++j) {
     double sum = 0.0;
@@ -60,10 +61,10 @@ TEST(FtDgemm, SingleErrorDetectedAndCorrected) {
   Fix s(64, 64, 64, 3);
   FtDgemm ft(s.a.view(), s.b.view(), s.buffers());
   // Run clean, then corrupt and invoke verification directly.
-  ASSERT_EQ(ft.run(), FtStatus::kOk);
+  ASSERT_EQ(ft.run(s.be), FtStatus::kOk);
   Matrix ref = s.reference();
   s.cf(17, 23) += 5.0;
-  EXPECT_EQ(ft.verify_and_correct(), FtStatus::kCorrectedErrors);
+  EXPECT_EQ(ft.verify_and_correct(s.be), FtStatus::kCorrectedErrors);
   EXPECT_LT(max_abs_diff(ft.result(), ref.view()), 1e-8);
   EXPECT_EQ(ft.stats().errors_corrected, 1u);
 }
@@ -71,43 +72,43 @@ TEST(FtDgemm, SingleErrorDetectedAndCorrected) {
 TEST(FtDgemm, MultipleErrorsSameRowCorrected) {
   Fix s(64, 64, 64, 4);
   FtDgemm ft(s.a.view(), s.b.view(), s.buffers());
-  ASSERT_EQ(ft.run(), FtStatus::kOk);
+  ASSERT_EQ(ft.run(s.be), FtStatus::kOk);
   Matrix ref = s.reference();
   s.cf(9, 3) += 2.0;
   s.cf(9, 40) -= 7.0;
   s.cf(9, 63) += 1.5;
-  EXPECT_EQ(ft.verify_and_correct(), FtStatus::kCorrectedErrors);
+  EXPECT_EQ(ft.verify_and_correct(s.be), FtStatus::kCorrectedErrors);
   EXPECT_LT(max_abs_diff(ft.result(), ref.view()), 1e-8);
 }
 
 TEST(FtDgemm, MultipleErrorsSameColumnCorrected) {
   Fix s(64, 64, 64, 5);
   FtDgemm ft(s.a.view(), s.b.view(), s.buffers());
-  ASSERT_EQ(ft.run(), FtStatus::kOk);
+  ASSERT_EQ(ft.run(s.be), FtStatus::kOk);
   Matrix ref = s.reference();
   s.cf(5, 31) += 4.0;
   s.cf(44, 31) -= 2.5;
-  EXPECT_EQ(ft.verify_and_correct(), FtStatus::kCorrectedErrors);
+  EXPECT_EQ(ft.verify_and_correct(s.be), FtStatus::kCorrectedErrors);
   EXPECT_LT(max_abs_diff(ft.result(), ref.view()), 1e-8);
 }
 
 TEST(FtDgemm, DistinctRowColErrorsPairedByMagnitude) {
   Fix s(64, 64, 64, 6);
   FtDgemm ft(s.a.view(), s.b.view(), s.buffers());
-  ASSERT_EQ(ft.run(), FtStatus::kOk);
+  ASSERT_EQ(ft.run(s.be), FtStatus::kOk);
   Matrix ref = s.reference();
   s.cf(7, 11) += 3.0;
   s.cf(50, 60) -= 9.0;
-  EXPECT_EQ(ft.verify_and_correct(), FtStatus::kCorrectedErrors);
+  EXPECT_EQ(ft.verify_and_correct(s.be), FtStatus::kCorrectedErrors);
   EXPECT_LT(max_abs_diff(ft.result(), ref.view()), 1e-8);
 }
 
 TEST(FtDgemm, CorruptedChecksumRowEntryRepaired) {
   Fix s(64, 64, 64, 7);
   FtDgemm ft(s.a.view(), s.b.view(), s.buffers());
-  ASSERT_EQ(ft.run(), FtStatus::kOk);
+  ASSERT_EQ(ft.run(s.be), FtStatus::kOk);
   s.cf(64, 20) += 11.0;  // checksum row itself corrupted
-  EXPECT_EQ(ft.verify_and_correct(), FtStatus::kCorrectedErrors);
+  EXPECT_EQ(ft.verify_and_correct(s.be), FtStatus::kCorrectedErrors);
   double sum = 0.0;
   for (std::size_t i = 0; i < 64; ++i) sum += s.cf(i, 20);
   EXPECT_NEAR(sum, s.cf(64, 20), 1e-8);
@@ -130,8 +131,8 @@ TEST(FtDgemm, ErrorDuringAccumulationCorrectedByPeriodicVerify) {
   Fix s(96, 96, 192, 8);
   FtDgemm ft(s.a.view(), s.b.view(), s.buffers());
   std::uint64_t counter = 0;
-  CorruptingTap tap{&s.cf(33, 44), &counter, 2000000};
-  const FtStatus st = ft.run(tap);
+  TapBackend be(CorruptingTap{&s.cf(33, 44), &counter, 2000000});
+  const FtStatus st = ft.run(be);
   EXPECT_EQ(st, FtStatus::kCorrectedErrors);
   Matrix ref = s.reference();
   EXPECT_LT(max_abs_diff(ft.result(), ref.view()), 1e-7);
@@ -142,13 +143,13 @@ TEST(FtDgemm, AmbiguousGridPatternReportedUncorrectable) {
   // 2x2 grid of equal-magnitude errors cannot be paired uniquely.
   Fix s(64, 64, 64, 9);
   FtDgemm ft(s.a.view(), s.b.view(), s.buffers());
-  ASSERT_EQ(ft.run(), FtStatus::kOk);
+  ASSERT_EQ(ft.run(s.be), FtStatus::kOk);
   s.cf(10, 20) += 3.0;
   s.cf(10, 30) += 3.0;
   s.cf(40, 20) += 3.0;
   s.cf(40, 30) += 3.0;
   // Rows 10/40 and cols 20/30 all show residual 6.0: ambiguous pairing.
-  EXPECT_EQ(ft.verify_and_correct(), FtStatus::kUncorrectable);
+  EXPECT_EQ(ft.verify_and_correct(s.be), FtStatus::kUncorrectable);
 }
 
 // --- Case-4 pinning (paper Section 4) ----------------------------------------
@@ -160,7 +161,7 @@ TEST(FtDgemm, AmbiguousGridPatternReportedUncorrectable) {
 TEST(FtDgemm, Case4LShapePatternRefusedNotMiscorrected) {
   Fix s(64, 64, 64, 20);
   FtDgemm ft(s.a.view(), s.b.view(), s.buffers());
-  ASSERT_EQ(ft.run(), FtStatus::kOk);
+  ASSERT_EQ(ft.run(s.be), FtStatus::kOk);
   Matrix ref = s.reference();
   // L-shape: two faults sharing row 12 AND two sharing column 21, with
   // magnitudes chosen so no row residual equals any column residual
@@ -170,7 +171,7 @@ TEST(FtDgemm, Case4LShapePatternRefusedNotMiscorrected) {
   s.cf(12, 21) += 4.0;
   s.cf(12, 44) += 7.0;
   s.cf(33, 21) += 13.0;
-  EXPECT_EQ(ft.verify_and_correct(), FtStatus::kUncorrectable);
+  EXPECT_EQ(ft.verify_and_correct(s.be), FtStatus::kUncorrectable);
   // Detected, refused, and no partial "repair" was invented: the payload
   // still carries exactly the injected deltas.
   EXPECT_GE(ft.stats().errors_detected, 1u);
@@ -185,7 +186,7 @@ TEST(FtDgemm, Case4GridHealedWhenLadderAttached) {
   recovery::RecoveryManager rm;
   rt.set_recovery(&rm);
   FtDgemm ft(s.a.view(), s.b.view(), s.buffers(), {}, &rt);
-  ASSERT_EQ(ft.run(), FtStatus::kOk);
+  ASSERT_EQ(ft.run(s.be), FtStatus::kOk);
   Matrix ref = s.reference();
   s.cf(10, 20) += 3.0;
   s.cf(10, 30) += 3.0;
@@ -193,10 +194,10 @@ TEST(FtDgemm, Case4GridHealedWhenLadderAttached) {
   s.cf(40, 30) += 3.0;
   // verify_and_correct alone still refuses (the ladder lives in run());
   // pin that the refusal is loud, not a silent mis-correction.
-  EXPECT_EQ(ft.verify_and_correct(), FtStatus::kUncorrectable);
+  EXPECT_EQ(ft.verify_and_correct(s.be), FtStatus::kUncorrectable);
   // A fresh ladder-driven run over the same buffers heals end to end.
-  ASSERT_TRUE(ft.run() == FtStatus::kOk ||
-              ft.run() == FtStatus::kCorrectedErrors);
+  ASSERT_TRUE(ft.run(s.be) == FtStatus::kOk ||
+              ft.run(s.be) == FtStatus::kCorrectedErrors);
   EXPECT_LT(max_abs_diff(ft.result(), ref.view()), 1e-6);
 }
 
@@ -206,12 +207,12 @@ TEST(FtDgemm, ChecksumRowFaultStaysDetectedUnderLadder) {
   recovery::RecoveryManager rm;
   rt.set_recovery(&rm);
   FtDgemm ft(s.a.view(), s.b.view(), s.buffers(), {}, &rt);
-  ASSERT_EQ(ft.run(), FtStatus::kOk);
+  ASSERT_EQ(ft.run(s.be), FtStatus::kOk);
   Matrix ref = s.reference();
   // Fault in the checksum row itself: must be detected and repaired from
   // the payload, never "corrected" into the payload.
   s.cf(64, 7) += 11.0;
-  EXPECT_EQ(ft.verify_and_correct(), FtStatus::kCorrectedErrors);
+  EXPECT_EQ(ft.verify_and_correct(s.be), FtStatus::kCorrectedErrors);
   EXPECT_LT(max_abs_diff(ft.result(), ref.view()), 1e-8);
   EXPECT_EQ(rm.verdict(), recovery::RecoveryVerdict::kNotNeeded);
 }
@@ -219,7 +220,7 @@ TEST(FtDgemm, ChecksumRowFaultStaysDetectedUnderLadder) {
 TEST(FtDgemm, NonSquareShapesSupported) {
   Fix s(50, 130, 70, 10);
   FtDgemm ft(s.a.view(), s.b.view(), s.buffers());
-  EXPECT_EQ(ft.run(), FtStatus::kOk);
+  EXPECT_EQ(ft.run(s.be), FtStatus::kOk);
   Matrix ref = s.reference();
   EXPECT_LT(max_abs_diff(ft.result(), ref.view()), 1e-9);
 }
@@ -232,15 +233,15 @@ TEST(FtDgemm, VerifyPeriodControlsVerificationCount) {
   opt4.verify_period = 4;
   FtDgemm f1(s1.a.view(), s1.b.view(), s1.buffers(), opt1);
   FtDgemm f4(s2.a.view(), s2.b.view(), s2.buffers(), opt4);
-  ASSERT_EQ(f1.run(), FtStatus::kOk);
-  ASSERT_EQ(f4.run(), FtStatus::kOk);
+  ASSERT_EQ(f1.run(s1.be), FtStatus::kOk);
+  ASSERT_EQ(f4.run(s2.be), FtStatus::kOk);
   EXPECT_GT(f1.stats().verifications, f4.stats().verifications);
 }
 
 TEST(FtDgemm, StatsTimersAccumulate) {
   Fix s(96, 96, 96, 12);
   FtDgemm ft(s.a.view(), s.b.view(), s.buffers());
-  ASSERT_EQ(ft.run(), FtStatus::kOk);
+  ASSERT_EQ(ft.run(s.be), FtStatus::kOk);
   EXPECT_GT(ft.stats().encode_seconds, 0.0);
   EXPECT_GT(ft.stats().verify_seconds, 0.0);
 }

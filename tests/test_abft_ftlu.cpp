@@ -14,6 +14,7 @@ struct Fix {
   linalg::LinearSystem sys;
   Matrix ae, uc;
   std::size_t n, procs, h;
+  NativeBackend be;
   Fix(std::size_t n_, std::size_t procs_, std::uint64_t seed)
       : n(n_), procs(procs_), h(n_ / procs_) {
     Rng rng(seed);
@@ -32,21 +33,21 @@ struct Fix {
 
 TEST(FtLu, SoftModeDetectedFromBufferShape) {
   Fix s(64, 4, 1);
-  FtHpl ft(s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
+  FtHpl ft(s.be, s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
   EXPECT_TRUE(ft.soft_correction_enabled());
-  EXPECT_EQ(ft.factor(), FtStatus::kOk);
+  EXPECT_EQ(ft.factor(s.be), FtStatus::kOk);
   s.expect_solution(ft);
 }
 
 TEST(FtLu, TrailingSoftErrorCorrectedNotJustDetected) {
   Fix s(96, 4, 2);
-  FtHpl ft(s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
-  ASSERT_EQ(ft.factor_steps(32), FtStatus::kOk);
+  FtHpl ft(s.be, s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
+  ASSERT_EQ(ft.factor_steps(32, s.be), FtStatus::kOk);
   // Corrupt an element of the active trailing matrix.
   s.ae(70, 80) += 50.0;
-  EXPECT_EQ(ft.verify_active(), FtStatus::kOk);  // repaired in place
+  EXPECT_EQ(ft.verify_active(s.be), FtStatus::kOk);  // repaired in place
   EXPECT_GE(ft.stats().errors_corrected, 1u);
-  ASSERT_EQ(ft.factor_steps(96), FtStatus::kOk);
+  ASSERT_EQ(ft.factor_steps(96, s.be), FtStatus::kOk);
   s.expect_solution(ft);
 }
 
@@ -54,37 +55,37 @@ TEST(FtLu, ErrorSurvivesPivotingViaOriginalRowWeights) {
   // Factor far enough that rows have been swapped, then corrupt: the
   // weighted checksum must still locate the right (current) position.
   Fix s(128, 4, 3);
-  FtHpl ft(s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
-  ASSERT_EQ(ft.factor_steps(64), FtStatus::kOk);
+  FtHpl ft(s.be, s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
+  ASSERT_EQ(ft.factor_steps(64, s.be), FtStatus::kOk);
   // Pick a definitely-active position.
   std::size_t pos = 64;
   s.ae(pos + 10, 100) -= 123.0;
-  EXPECT_EQ(ft.verify_active(), FtStatus::kOk);
+  EXPECT_EQ(ft.verify_active(s.be), FtStatus::kOk);
   EXPECT_GE(ft.stats().errors_corrected, 1u);
-  ASSERT_EQ(ft.factor_steps(128), FtStatus::kOk);
+  ASSERT_EQ(ft.factor_steps(128, s.be), FtStatus::kOk);
   s.expect_solution(ft);
 }
 
 TEST(FtLu, ErrorsInMultipleColumnsAllCorrected) {
   Fix s(96, 4, 4);
-  FtHpl ft(s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
-  ASSERT_EQ(ft.factor_steps(32), FtStatus::kOk);
+  FtHpl ft(s.be, s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
+  ASSERT_EQ(ft.factor_steps(32, s.be), FtStatus::kOk);
   s.ae(50, 40) += 9.0;
   s.ae(61, 55) -= 4.0;
   s.ae(88, 96) += 2.5;  // the carried b column
-  EXPECT_EQ(ft.verify_active(), FtStatus::kOk);
+  EXPECT_EQ(ft.verify_active(s.be), FtStatus::kOk);
   EXPECT_GE(ft.stats().errors_corrected, 3u);
-  ASSERT_EQ(ft.factor_steps(96), FtStatus::kOk);
+  ASSERT_EQ(ft.factor_steps(96, s.be), FtStatus::kOk);
   s.expect_solution(ft);
 }
 
 TEST(FtLu, TwoErrorsSameColumnRefused) {
   Fix s(96, 4, 5);
-  FtHpl ft(s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
-  ASSERT_EQ(ft.factor_steps(32), FtStatus::kOk);
+  FtHpl ft(s.be, s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
+  ASSERT_EQ(ft.factor_steps(32, s.be), FtStatus::kOk);
   s.ae(50, 40) += 9.0;
   s.ae(70, 40) += 5.0;
-  EXPECT_EQ(ft.verify_active(), FtStatus::kUncorrectable);
+  EXPECT_EQ(ft.verify_active(s.be), FtStatus::kUncorrectable);
 }
 
 TEST(FtLu, CorruptionDuringFactorizationCaughtByPeriodicVerify) {
@@ -102,11 +103,11 @@ TEST(FtLu, CorruptionDuringFactorizationCaughtByPeriodicVerify) {
   Fix s(128, 4, 6);
   FtOptions opt;
   opt.verify_period = 1;
-  FtHpl ft(s.sys.a.view(), s.sys.b, 4, s.buffers(), opt, nullptr, 32);
   std::uint64_t counter = 0;
   // Deep trailing element, hit during the first panel's trailing update.
-  CorruptingTap tap{&s.ae(120, 110), &counter, 120000};
-  const FtStatus st = ft.factor(tap);
+  TapBackend be(CorruptingTap{&s.ae(120, 110), &counter, 120000});
+  FtHpl ft(be, s.sys.a.view(), s.sys.b, 4, s.buffers(), opt, nullptr, 32);
+  const FtStatus st = ft.factor(be);
   ASSERT_TRUE(st == FtStatus::kOk || st == FtStatus::kCorrectedErrors);
   EXPECT_GE(ft.stats().errors_corrected, 1u);
   s.expect_solution(ft, 1e-5);
@@ -114,24 +115,24 @@ TEST(FtLu, CorruptionDuringFactorizationCaughtByPeriodicVerify) {
 
 TEST(FtLu, FailStopRecoveryStillWorksInSoftMode) {
   Fix s(96, 4, 7);
-  FtHpl ft(s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
-  ASSERT_EQ(ft.factor_steps(64), FtStatus::kOk);
+  FtHpl ft(s.be, s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
+  ASSERT_EQ(ft.factor_steps(64, s.be), FtStatus::kOk);
   ft.simulate_failstop(1);
-  EXPECT_EQ(ft.recover_process(1), FtStatus::kCorrectedErrors);
-  ASSERT_EQ(ft.factor_steps(96), FtStatus::kOk);
+  EXPECT_EQ(ft.recover_process(1, s.be), FtStatus::kCorrectedErrors);
+  ASSERT_EQ(ft.factor_steps(96, s.be), FtStatus::kOk);
   s.expect_solution(ft);
 }
 
 TEST(FtLu, SoftThenFailStopInOneRun) {
   Fix s(128, 4, 8);
-  FtHpl ft(s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
-  ASSERT_EQ(ft.factor_steps(32), FtStatus::kOk);
+  FtHpl ft(s.be, s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
+  ASSERT_EQ(ft.factor_steps(32, s.be), FtStatus::kOk);
   s.ae(90, 70) += 17.0;  // soft error...
-  EXPECT_EQ(ft.verify_active(), FtStatus::kOk);
-  ASSERT_EQ(ft.factor_steps(64), FtStatus::kOk);
+  EXPECT_EQ(ft.verify_active(s.be), FtStatus::kOk);
+  ASSERT_EQ(ft.factor_steps(64, s.be), FtStatus::kOk);
   ft.simulate_failstop(3);  // ...then a process loss
-  EXPECT_EQ(ft.recover_process(3), FtStatus::kCorrectedErrors);
-  ASSERT_EQ(ft.factor_steps(128), FtStatus::kOk);
+  EXPECT_EQ(ft.recover_process(3, s.be), FtStatus::kCorrectedErrors);
+  ASSERT_EQ(ft.factor_steps(128, s.be), FtStatus::kOk);
   s.expect_solution(ft);
 }
 
@@ -141,17 +142,17 @@ TEST_P(FtLuRandomSoftErrors, CorrectsOrRefusesAcrossSeeds) {
   const int seed = GetParam();
   Rng rng(4000 + seed);
   Fix s(96, 4, 500 + seed);
-  FtHpl ft(s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
+  FtHpl ft(s.be, s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
   const std::size_t boundary = 32 * (1 + rng.below(2));
-  ASSERT_EQ(ft.factor_steps(boundary), FtStatus::kOk);
+  ASSERT_EQ(ft.factor_steps(boundary, s.be), FtStatus::kOk);
   // Corrupt a random active element in a random trailing column.
   const std::size_t pos = boundary + rng.below(96 - boundary);
   const std::size_t j = boundary + rng.below(97 - boundary);
   s.ae(pos, j) += rng.uniform(5.0, 500.0);
-  const FtStatus st = ft.verify_active();
+  const FtStatus st = ft.verify_active(s.be);
   ASSERT_NE(st, FtStatus::kNumericalFailure);
   if (st != FtStatus::kUncorrectable) {
-    ASSERT_EQ(ft.factor_steps(96), FtStatus::kOk);
+    ASSERT_EQ(ft.factor_steps(96, s.be), FtStatus::kOk);
     s.expect_solution(ft, 1e-5);
   }
 }

@@ -14,6 +14,7 @@ struct Fix {
   linalg::LinearSystem sys;
   Matrix ae, uc;
   std::size_t n, procs, h;
+  NativeBackend be;
   Fix(std::size_t n_, std::size_t procs_, std::uint64_t seed)
       : n(n_), procs(procs_), h(n_ / procs_) {
     Rng rng(seed);
@@ -32,8 +33,8 @@ struct Fix {
 
 TEST(FtHpl, CleanFactorizationSolvesSystem) {
   Fix s(128, 4, 1);
-  FtHpl ft(s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
-  EXPECT_EQ(ft.factor(), FtStatus::kOk);
+  FtHpl ft(s.be, s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
+  EXPECT_EQ(ft.factor(s.be), FtStatus::kOk);
   s.expect_solution(ft);
 }
 
@@ -43,8 +44,8 @@ class FtHplShapes
 TEST_P(FtHplShapes, SolvesAcrossDimsAndProcessCounts) {
   const auto [n, procs] = GetParam();
   Fix s(n, procs, 40 + n + procs);
-  FtHpl ft(s.sys.a.view(), s.sys.b, procs, s.buffers(), {}, nullptr, 32);
-  EXPECT_EQ(ft.factor(), FtStatus::kOk);
+  FtHpl ft(s.be, s.sys.a.view(), s.sys.b, procs, s.buffers(), {}, nullptr, 32);
+  EXPECT_EQ(ft.factor(s.be), FtStatus::kOk);
   s.expect_solution(ft);
 }
 
@@ -61,12 +62,12 @@ TEST_P(FtHplFailurePoint, FailStopRecoveredAtAnyBoundary) {
   const int percent = GetParam();
   const std::size_t n = 128;
   Fix s(n, 4, 2);
-  FtHpl ft(s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
+  FtHpl ft(s.be, s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
   const std::size_t k_fail = n * percent / 100 / 32 * 32;
-  ASSERT_EQ(ft.factor_steps(k_fail), FtStatus::kOk);
+  ASSERT_EQ(ft.factor_steps(k_fail, s.be), FtStatus::kOk);
   ft.simulate_failstop(1);
-  EXPECT_EQ(ft.recover_process(1), FtStatus::kCorrectedErrors);
-  ASSERT_EQ(ft.factor_steps(n), FtStatus::kOk);
+  EXPECT_EQ(ft.recover_process(1, s.be), FtStatus::kCorrectedErrors);
+  ASSERT_EQ(ft.factor_steps(n, s.be), FtStatus::kOk);
   s.expect_solution(ft, 1e-6);
 }
 
@@ -77,11 +78,11 @@ TEST(FtHpl, EveryProcessRecoverable) {
   const std::size_t n = 96;
   for (std::size_t victim = 0; victim < 4; ++victim) {
     Fix s(n, 4, 3 + victim);
-    FtHpl ft(s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
-    ASSERT_EQ(ft.factor_steps(64), FtStatus::kOk);
+    FtHpl ft(s.be, s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
+    ASSERT_EQ(ft.factor_steps(64, s.be), FtStatus::kOk);
     ft.simulate_failstop(victim);
-    EXPECT_EQ(ft.recover_process(victim), FtStatus::kCorrectedErrors);
-    ASSERT_EQ(ft.factor_steps(n), FtStatus::kOk);
+    EXPECT_EQ(ft.recover_process(victim, s.be), FtStatus::kCorrectedErrors);
+    ASSERT_EQ(ft.factor_steps(n, s.be), FtStatus::kOk);
     s.expect_solution(ft, 1e-6);
   }
 }
@@ -89,11 +90,11 @@ TEST(FtHpl, EveryProcessRecoverable) {
 TEST(FtHpl, RecoveryRestoresExactRowContents) {
   const std::size_t n = 96;
   Fix s(n, 4, 5);
-  FtHpl ft(s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
-  ASSERT_EQ(ft.factor_steps(32), FtStatus::kOk);
+  FtHpl ft(s.be, s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
+  ASSERT_EQ(ft.factor_steps(32, s.be), FtStatus::kOk);
   Matrix snapshot = s.ae;
   ft.simulate_failstop(2);
-  ASSERT_EQ(ft.recover_process(2), FtStatus::kCorrectedErrors);
+  ASSERT_EQ(ft.recover_process(2, s.be), FtStatus::kCorrectedErrors);
   // Frozen rows restored exactly; active rows restored from column 32 on.
   for (std::size_t o = 2 * 24; o < 3 * 24; ++o) {
     const std::size_t pos = ft.position_of_original_row(o);
@@ -106,18 +107,18 @@ TEST(FtHpl, RecoveryRestoresExactRowContents) {
 TEST(FtHpl, SoftErrorInTrailingMatrixDetected) {
   const std::size_t n = 96;
   Fix s(n, 4, 6);
-  FtHpl ft(s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
-  ASSERT_EQ(ft.factor_steps(32), FtStatus::kOk);
+  FtHpl ft(s.be, s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
+  ASSERT_EQ(ft.factor_steps(32, s.be), FtStatus::kOk);
   s.ae(70, 80) += 50.0;  // active region corruption
-  EXPECT_EQ(ft.verify_active(), FtStatus::kUncorrectable);
+  EXPECT_EQ(ft.verify_active(s.be), FtStatus::kUncorrectable);
   EXPECT_GE(ft.stats().errors_detected, 1u);
 }
 
 TEST(FtHpl, CleanTrailingMatrixVerifies) {
   Fix s(96, 4, 7);
-  FtHpl ft(s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
-  ASSERT_EQ(ft.factor_steps(64), FtStatus::kOk);
-  EXPECT_EQ(ft.verify_active(), FtStatus::kOk);
+  FtHpl ft(s.be, s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 32);
+  ASSERT_EQ(ft.factor_steps(64, s.be), FtStatus::kOk);
+  EXPECT_EQ(ft.verify_active(s.be), FtStatus::kOk);
 }
 
 TEST(FtHpl, SingularMatrixReported) {
@@ -125,13 +126,13 @@ TEST(FtHpl, SingularMatrixReported) {
   Fix s(n, 4, 8);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) s.sys.a(i, j) = 0.0;
-  FtHpl ft(s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 16);
-  EXPECT_EQ(ft.factor(), FtStatus::kNumericalFailure);
+  FtHpl ft(s.be, s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 16);
+  EXPECT_EQ(ft.factor(s.be), FtStatus::kNumericalFailure);
 }
 
 TEST(FtHpl, RequiresDivisibleDimensions) {
   Fix s(96, 4, 9);
-  EXPECT_THROW(FtHpl(s.sys.a.view(), s.sys.b, 5,
+  EXPECT_THROW(FtHpl(s.be, s.sys.a.view(), s.sys.b, 5,
                      {s.ae.view(), s.uc.view()}),
                ContractViolation);
 }
@@ -139,8 +140,8 @@ TEST(FtHpl, RequiresDivisibleDimensions) {
 TEST(FtHpl, PivotTrackingConsistent) {
   const std::size_t n = 64;
   Fix s(n, 4, 10);
-  FtHpl ft(s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 16);
-  ASSERT_EQ(ft.factor(), FtStatus::kOk);
+  FtHpl ft(s.be, s.sys.a.view(), s.sys.b, 4, s.buffers(), {}, nullptr, 16);
+  ASSERT_EQ(ft.factor(s.be), FtStatus::kOk);
   // position_of_original_row is a permutation of [0, n).
   std::vector<bool> seen(n, false);
   for (std::size_t o = 0; o < n; ++o) {

@@ -42,9 +42,9 @@ TEST_P(DgemmRandomInjection, NeverReturnsSilentlyWrongResult) {
   const std::size_t i = rng.below(n), j = rng.below(n);
   const double delta = rng.uniform(0.5, 100.0) * (rng.below(2) ? 1 : -1);
   std::uint64_t counter = 0;
-  RandomCorruptTap tap{&cf(i, j), delta, &counter,
-                       200000 + rng.below(1500000)};
-  const FtStatus st = ft.run(tap);
+  TapBackend be(RandomCorruptTap{&cf(i, j), delta, &counter,
+                                 200000 + rng.below(1500000)});
+  const FtStatus st = ft.run(be);
   ASSERT_NE(st, FtStatus::kNumericalFailure);
   if (st != FtStatus::kUncorrectable) {
     Matrix ref(n, n);
@@ -73,9 +73,9 @@ TEST_P(CholeskyRandomInjection, CorrectsOrRefuses) {
   const std::size_t j = rng.below(n - 1);
   const std::size_t i = j + 1 + rng.below(n - j - 1);
   std::uint64_t counter = 0;
-  RandomCorruptTap tap{&a(i, j), rng.uniform(10.0, 200.0), &counter,
-                       50000 + rng.below(400000)};
-  const FtStatus st = ft.run(tap);
+  TapBackend be(RandomCorruptTap{&a(i, j), rng.uniform(10.0, 200.0), &counter,
+                                 50000 + rng.below(400000)});
+  const FtStatus st = ft.run(be);
   if (st == FtStatus::kOk || st == FtStatus::kCorrectedErrors) {
     for (std::size_t jj = 0; jj < n; ++jj)
       for (std::size_t ii = jj; ii < n; ++ii) {
@@ -109,10 +109,10 @@ TEST_P(CgRandomInjection, ConvergesToTrueSolutionDespiteFault) {
   std::vector<std::span<double>> targets{x, r, p, q, b};
   auto& victim = targets[rng.below(targets.size())];
   std::uint64_t counter = 0;
-  RandomCorruptTap tap{&victim[rng.below(n)],
-                       rng.uniform(1e3, 1e7) * (rng.below(2) ? 1 : -1),
-                       &counter, 300000 + rng.below(1200000)};
-  const FtCgResult res = ft.run(tap);
+  TapBackend be(RandomCorruptTap{
+      &victim[rng.below(n)], rng.uniform(1e3, 1e7) * (rng.below(2) ? 1 : -1),
+      &counter, 300000 + rng.below(1200000)});
+  const FtCgResult res = ft.run(be);
   ASSERT_TRUE(res.cg.converged) << "seed " << seed;
   double err = 0;
   for (std::size_t ii = 0; ii < n; ++ii)
@@ -130,14 +130,15 @@ TEST_P(HplRandomFailure, AnyProcessAnyBoundaryRecovers) {
   const std::size_t n = 128, procs = 4;
   linalg::LinearSystem sys = linalg::make_general_system(n, rng);
   Matrix ae(n + n / procs, n + 1), uc(n / procs, n + 1);
-  FtHpl ft(sys.a.view(), sys.b, procs, {ae.view(), uc.view()}, {}, nullptr,
-           32);
+  NativeBackend be;
+  FtHpl ft(be, sys.a.view(), sys.b, procs, {ae.view(), uc.view()}, {},
+           nullptr, 32);
   const std::size_t boundary = 32 * rng.below(n / 32 + 1);
   const std::size_t victim = rng.below(procs);
-  ASSERT_EQ(ft.factor_steps(boundary), FtStatus::kOk);
+  ASSERT_EQ(ft.factor_steps(boundary, be), FtStatus::kOk);
   ft.simulate_failstop(victim);
-  ASSERT_EQ(ft.recover_process(victim), FtStatus::kCorrectedErrors);
-  ASSERT_EQ(ft.factor_steps(n), FtStatus::kOk);
+  ASSERT_EQ(ft.recover_process(victim, be), FtStatus::kCorrectedErrors);
+  ASSERT_EQ(ft.factor_steps(n, be), FtStatus::kOk);
   std::vector<double> x(n);
   ft.solve(x);
   for (std::size_t i = 0; i < n; ++i)

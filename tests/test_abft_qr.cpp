@@ -77,6 +77,7 @@ struct Fix {
   Matrix a, aw;
   std::vector<double> tau;
   std::size_t m, n;
+  NativeBackend be;
   Fix(std::size_t m_, std::size_t n_, std::uint64_t seed) : m(m_), n(n_) {
     Rng rng(seed);
     a = Matrix::random(m, n, rng);
@@ -89,8 +90,8 @@ struct Fix {
 
 TEST(FtQrTest, CleanFactorSolvesSystem) {
   Fix s(96, 96, 1);
-  FtQr ft(s.a.view(), s.buffers(), {}, nullptr, 32);
-  EXPECT_EQ(ft.factor(), FtStatus::kOk);
+  FtQr ft(s.be, s.a.view(), s.buffers(), {}, nullptr, 32);
+  EXPECT_EQ(ft.factor(s.be), FtStatus::kOk);
   Rng rng(2);
   std::vector<double> x_true(96), b(96, 0.0), x(96);
   for (auto& v : x_true) v = rng.uniform(-1, 1);
@@ -102,8 +103,8 @@ TEST(FtQrTest, CleanFactorSolvesSystem) {
 
 TEST(FtQrTest, ChecksumColumnsSurviveReflectorsExactly) {
   Fix s(64, 48, 3);
-  FtQr ft(s.a.view(), s.buffers(), {}, nullptr, 16);
-  ASSERT_EQ(ft.factor(), FtStatus::kOk);
+  FtQr ft(s.be, s.a.view(), s.buffers(), {}, nullptr, 16);
+  ASSERT_EQ(ft.factor(s.be), FtStatus::kOk);
   // Final state: every frozen row's R entries sum to the checksum entries.
   for (std::size_t i = 0; i < 48; ++i) {
     double sum = 0.0, wsum = 0.0;
@@ -129,10 +130,10 @@ TEST(FtQrTest, TrailingErrorCorrectedBetweenPanels) {
     }
   };
   Fix s(96, 96, 4);
-  FtQr ft(s.a.view(), s.buffers(), {}, nullptr, 32);
   std::uint64_t counter = 0;
-  CorruptingTap tap{&s.aw(80, 70), &counter, 150000};
-  const FtStatus st = ft.factor(tap);
+  TapBackend be(CorruptingTap{&s.aw(80, 70), &counter, 150000});
+  FtQr ft(be, s.a.view(), s.buffers(), {}, nullptr, 32);
+  const FtStatus st = ft.factor(be);
   EXPECT_EQ(st, FtStatus::kCorrectedErrors);
   EXPECT_GE(ft.stats().errors_corrected, 1u);
   // Solve still lands on the true solution.
@@ -148,42 +149,42 @@ TEST(FtQrTest, TrailingErrorCorrectedBetweenPanels) {
 
 TEST(FtQrTest, FrozenRErrorCorrectedToo) {
   Fix s(96, 96, 6);
-  FtQr ft(s.a.view(), s.buffers(), {}, nullptr, 32);
-  ASSERT_EQ(ft.factor(), FtStatus::kOk);
+  FtQr ft(s.be, s.a.view(), s.buffers(), {}, nullptr, 32);
+  ASSERT_EQ(ft.factor(s.be), FtStatus::kOk);
   const double orig = s.aw(10, 50);
   s.aw(10, 50) += 77.0;  // R region, row 10 frozen long ago
-  EXPECT_EQ(ft.verify_and_correct(), FtStatus::kOk);
+  EXPECT_EQ(ft.verify_and_correct(s.be), FtStatus::kOk);
   EXPECT_GE(ft.stats().errors_corrected, 1u);
   EXPECT_NEAR(s.aw(10, 50), orig, 1e-8);
 }
 
 TEST(FtQrTest, ChecksumEntryCorruptionRefreshed) {
   Fix s(64, 64, 7);
-  FtQr ft(s.a.view(), s.buffers(), {}, nullptr, 32);
-  ASSERT_EQ(ft.factor(), FtStatus::kOk);
+  FtQr ft(s.be, s.a.view(), s.buffers(), {}, nullptr, 32);
+  ASSERT_EQ(ft.factor(s.be), FtStatus::kOk);
   s.aw(20, 64) += 9.0;   // sum checksum entry
   s.aw(31, 65) -= 4.0;   // weighted checksum entry
-  EXPECT_EQ(ft.verify_and_correct(), FtStatus::kOk);
+  EXPECT_EQ(ft.verify_and_correct(s.be), FtStatus::kOk);
   EXPECT_GE(ft.stats().errors_corrected, 2u);
   // A second pass finds nothing.
   const auto corrected = ft.stats().errors_corrected;
-  EXPECT_EQ(ft.verify_and_correct(), FtStatus::kOk);
+  EXPECT_EQ(ft.verify_and_correct(s.be), FtStatus::kOk);
   EXPECT_EQ(ft.stats().errors_corrected, corrected);
 }
 
 TEST(FtQrTest, TwoErrorsSameRowRefused) {
   Fix s(64, 64, 8);
-  FtQr ft(s.a.view(), s.buffers(), {}, nullptr, 32);
-  ASSERT_EQ(ft.factor(), FtStatus::kOk);
+  FtQr ft(s.be, s.a.view(), s.buffers(), {}, nullptr, 32);
+  ASSERT_EQ(ft.factor(s.be), FtStatus::kOk);
   s.aw(15, 30) += 5.0;
   s.aw(15, 50) += 7.0;
-  EXPECT_EQ(ft.verify_and_correct(), FtStatus::kUncorrectable);
+  EXPECT_EQ(ft.verify_and_correct(s.be), FtStatus::kUncorrectable);
 }
 
 TEST(FtQrTest, TallMatrixSupported) {
   Fix s(128, 64, 9);
-  FtQr ft(s.a.view(), s.buffers(), {}, nullptr, 32);
-  EXPECT_EQ(ft.factor(), FtStatus::kOk);
+  FtQr ft(s.be, s.a.view(), s.buffers(), {}, nullptr, 32);
+  EXPECT_EQ(ft.factor(s.be), FtStatus::kOk);
 }
 
 class FtQrRandomInjection : public ::testing::TestWithParam<int> {};
@@ -199,16 +200,16 @@ TEST_P(FtQrRandomInjection, LiveRegionErrorsAtBoundariesAlwaysRepaired) {
   const int seed = GetParam();
   Rng rng(6000 + seed);
   Fix s(80, 80, 700 + seed);
-  FtQr ft(s.a.view(), s.buffers(), {}, nullptr, 16);
+  FtQr ft(s.be, s.a.view(), s.buffers(), {}, nullptr, 16);
   const std::size_t boundary = 16 * (1 + rng.below(4));
-  ASSERT_EQ(ft.factor_steps(boundary), FtStatus::kOk);
+  ASSERT_EQ(ft.factor_steps(boundary, s.be), FtStatus::kOk);
   // Live region at this boundary: row i has columns [min(i, boundary), n).
   const std::size_t i = rng.below(80);
   const std::size_t j0 = std::min<std::size_t>(i, boundary);
   const std::size_t j = j0 + rng.below(80 - j0);
   s.aw(i, j) += rng.uniform(20.0, 400.0) * (rng.below(2) ? 1 : -1);
-  ASSERT_EQ(ft.factor_steps(80), FtStatus::kOk);
-  ASSERT_EQ(ft.verify_and_correct(), FtStatus::kOk);
+  ASSERT_EQ(ft.factor_steps(80, s.be), FtStatus::kOk);
+  ASSERT_EQ(ft.verify_and_correct(s.be), FtStatus::kOk);
   EXPECT_GE(ft.stats().errors_corrected, 1u) << "seed " << seed;
 
   // Solve lands on the true solution of the ORIGINAL system.

@@ -98,7 +98,7 @@ TEST(Checksum, ColumnChecksumsMatchDefinition) {
   Rng rng(1);
   Matrix a = Matrix::random(10, 6, rng);
   std::vector<double> sum(6), weighted(6);
-  column_checksums(a.view(), sum, weighted, /*row_offset=*/3);
+  column_checksums(a.view(), sum, weighted, /*row_offset=*/3, NullTap{});
   for (std::size_t j = 0; j < 6; ++j) {
     double s = 0, w = 0;
     for (std::size_t i = 0; i < 10; ++i) {
@@ -114,11 +114,11 @@ TEST(Checksum, VerifyColumnsLocatesSingleErrors) {
   Rng rng(2);
   Matrix a = Matrix::random(20, 8, rng);
   std::vector<double> sum(8), weighted(8);
-  column_checksums(a.view(), sum, weighted);
+  column_checksums(a.view(), sum, weighted, 0, NullTap{});
   a(13, 2) += 5.0;
   a(4, 6) -= 2.0;
-  const auto errors =
-      verify_columns(a.view(), sum, weighted, 1e-9, mean_abs(a.view()));
+  const auto errors = verify_columns(a.view(), sum, weighted, 1e-9,
+                                     mean_abs(a.view()), 0, NullTap{});
   ASSERT_EQ(errors.size(), 2u);
   EXPECT_EQ(errors[0].column, 2u);
   EXPECT_TRUE(errors[0].locatable);
@@ -132,11 +132,11 @@ TEST(Checksum, TwoErrorsSameColumnNotLocatable) {
   Rng rng(3);
   Matrix a = Matrix::random(20, 4, rng);
   std::vector<double> sum(4), weighted(4);
-  column_checksums(a.view(), sum, weighted);
+  column_checksums(a.view(), sum, weighted, 0, NullTap{});
   a(3, 1) += 7.0;
   a(15, 1) += 11.0;
-  const auto errors =
-      verify_columns(a.view(), sum, weighted, 1e-9, mean_abs(a.view()));
+  const auto errors = verify_columns(a.view(), sum, weighted, 1e-9,
+                                     mean_abs(a.view()), 0, NullTap{});
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_FALSE(errors[0].locatable);
 }
@@ -145,10 +145,10 @@ TEST(Checksum, RowOffsetRespectedInLocation) {
   Rng rng(4);
   Matrix a = Matrix::random(16, 4, rng);
   std::vector<double> sum(4), weighted(4);
-  column_checksums(a.view(), sum, weighted, /*row_offset=*/100);
+  column_checksums(a.view(), sum, weighted, /*row_offset=*/100, NullTap{});
   a(9, 3) += 2.5;
   const auto errors = verify_columns(a.view(), sum, weighted, 1e-9,
-                                     mean_abs(a.view()), 100);
+                                     mean_abs(a.view()), 100, NullTap{});
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_TRUE(errors[0].locatable);
   EXPECT_EQ(errors[0].row, 9u);
@@ -158,22 +158,22 @@ TEST(Checksum, CleanMatrixProducesNoErrors) {
   Rng rng(5);
   Matrix a = Matrix::random(12, 12, rng);
   std::vector<double> sum(12), weighted(12);
-  column_checksums(a.view(), sum, weighted);
-  EXPECT_TRUE(
-      verify_columns(a.view(), sum, weighted, 1e-9, mean_abs(a.view()))
-          .empty());
+  column_checksums(a.view(), sum, weighted, 0, NullTap{});
+  EXPECT_TRUE(verify_columns(a.view(), sum, weighted, 1e-9,
+                             mean_abs(a.view()), 0, NullTap{})
+                  .empty());
 }
 
 TEST(PhaseTimerTest, AccumulatesIntoSink) {
   double sink = 0.0;
   {
-    PhaseTimer t(sink);
+    PhaseTimer t(sink, TickClock{});
     volatile double x = 0;
     for (int i = 0; i < 100000; ++i) x = x + 1.0;
   }
   EXPECT_GT(sink, 0.0);
   const double first = sink;
-  { PhaseTimer t(sink); }
+  { PhaseTimer t(sink, TickClock{}); }
   EXPECT_GE(sink, first);
 }
 

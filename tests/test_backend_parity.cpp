@@ -2,7 +2,8 @@
 // MemBackend boundary, produces bit-identical results under NativeBackend
 // and SimBackend. The two modes differ in instrumentation and time source
 // only -- the arithmetic path is shared -- so anything short of equal
-// bytes is a backend leaking into the numerics.
+// bytes is a backend leaking into the numerics. The backend is also each
+// kernel's only entry and the only clock its FtStats seconds read.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include "abft/ft_qr.hpp"
 #include "common/backend.hpp"
 #include "common/rng.hpp"
+#include "fault/injector.hpp"
 #include "linalg/generate.hpp"
 #include "memsim/system.hpp"
 #include "os/os.hpp"
@@ -189,7 +191,7 @@ TEST(BackendParity, FtHplNativeMatchesSimBitForBit) {
   Matrix aen(n + h, n + 1), ucn(h, n + 1), aes(n + h, n + 1), ucs(h, n + 1);
 
   NativeBackend nbe;
-  FtHpl nft(sysn.a.view(), sysn.b, procs, {aen.view(), ucn.view()}, {},
+  FtHpl nft(nbe, sysn.a.view(), sysn.b, procs, {aen.view(), ucn.view()}, {},
             nullptr, 16);
   ASSERT_EQ(nft.factor(nbe), FtStatus::kOk);
   std::vector<double> xn(n);
@@ -197,8 +199,8 @@ TEST(BackendParity, FtHplNativeMatchesSimBitForBit) {
 
   SimRig rig;
   const MatrixView ae = rig.copy(aes);
-  FtHpl sft(rig.copy(syss.a), rig.copy(syss.b), procs, {ae, rig.copy(ucs)},
-            {}, nullptr, 16);
+  FtHpl sft(rig.be, rig.copy(syss.a), rig.copy(syss.b), procs,
+            {ae, rig.copy(ucs)}, {}, nullptr, 16);
   ASSERT_EQ(sft.factor(rig.be), FtStatus::kOk);
   std::vector<double> xs(n);
   sft.solve(xs);
@@ -221,16 +223,127 @@ TEST(BackendParity, FtQrNativeMatchesSimBitForBit) {
   std::vector<double> taun(n, 0.0), taus(n, 0.0);
 
   NativeBackend nbe;
-  FtQr nft(an.view(), {awn.view(), taun}, {}, nullptr, 16);
+  FtQr nft(nbe, an.view(), {awn.view(), taun}, {}, nullptr, 16);
   ASSERT_EQ(nft.factor(nbe), FtStatus::kOk);
 
   SimRig rig;
   const FtQr::Buffers sbuf{rig.copy(aws), rig.copy(taus)};
-  FtQr sft(rig.copy(as), sbuf, {}, nullptr, 16);
+  FtQr sft(rig.be, rig.copy(as), sbuf, {}, nullptr, 16);
   ASSERT_EQ(sft.factor(rig.be), FtStatus::kOk);
 
   EXPECT_TRUE(bits_equal(awn.view(), sbuf.aw));
   EXPECT_TRUE(bits_equal(taun, sbuf.tau));
+}
+
+// ------------------------------------------------------------ one entry --
+
+// A backend is each kernel's only entry: no member takes a bare tap.
+template <typename K, typename Arg>
+constexpr bool runs_on = requires(K& k, Arg& arg) { k.run(arg); };
+template <typename K, typename Arg>
+constexpr bool factors_on = requires(K& k, Arg& arg) { k.factor(arg); };
+static_assert(runs_on<FtDgemm, NativeBackend> && !runs_on<FtDgemm, NullTap>);
+static_assert(runs_on<FtDgemmDual, NativeBackend> &&
+              !runs_on<FtDgemmDual, NullTap>);
+static_assert(runs_on<FtCholesky, NativeBackend> &&
+              !runs_on<FtCholesky, NullTap>);
+static_assert(runs_on<FtCg, NativeBackend> && !runs_on<FtCg, NullTap>);
+static_assert(factors_on<FtHpl, NativeBackend> && !factors_on<FtHpl, NullTap>);
+static_assert(factors_on<FtQr, NativeBackend> && !factors_on<FtQr, NullTap>);
+
+// ------------------------------------------------------------ one clock --
+// FtStats seconds come only from the backend's clock. Through a backend
+// whose clock never advances, every phase -- correction included --
+// accumulates exactly zero seconds.
+
+template <MemTap T>
+struct FrozenClockBackend : TapBackend<T> {
+  using TapBackend<T>::TapBackend;
+  [[nodiscard]] TickClock clock() const {
+    return TickClock(
+        nullptr, [](const void*) -> std::uint64_t { return 1; }, 1.0);
+  }
+};
+
+void expect_zero_seconds(const FtStats& st) {
+  EXPECT_EQ(st.encode_seconds, 0.0);
+  EXPECT_EQ(st.verify_seconds, 0.0);
+  EXPECT_EQ(st.correct_seconds, 0.0);
+}
+
+/// Adds `delta` to `*target` at the `fire_at`-th update of `trigger`.
+struct UpdateTriggerTap {
+  const void* trigger;
+  double* target;
+  double delta;
+  int* updates;
+  int fire_at;
+  void read(const void*, std::size_t = 8) {}
+  void write(const void*, std::size_t = 8) {}
+  void update(const void* p, std::size_t = 8) {
+    if (p == trigger && ++*updates == fire_at) *target += delta;
+  }
+};
+
+TEST(OneClock, CholeskyPanelCorrectionReadsTheBackendClock) {
+  const std::size_t n = 64, nb = 32;
+  Rng rng(21);
+  Matrix a = Matrix::random_spd(n, rng);
+  std::vector<double> sum(n), weighted(n);
+  // weighted[0] is updated by the first panel's checksum split, its
+  // TRSM and then the add-back right before the panel verify: the third
+  // update corrupts the finished panel L21, so the panel verify corrects.
+  int updates = 0;
+  FrozenClockBackend<UpdateTriggerTap> be(
+      UpdateTriggerTap{&weighted[0], &a(50, 10), 25.0, &updates, 3});
+  FtCholesky ft({a.view(), sum, weighted}, {}, nullptr, nb);
+  EXPECT_EQ(ft.run(be), FtStatus::kCorrectedErrors);
+  EXPECT_GE(updates, 3);
+  EXPECT_EQ(ft.stats().errors_corrected, 1u);
+  expect_zero_seconds(ft.stats());
+}
+
+TEST(OneClock, CgHardwareAssistedRepairReadsTheBackendClock) {
+  // An exposed error pending in the Os sends the first verification down
+  // the hardware-assisted repair path.
+  memsim::MemorySystem sys(memsim::SystemConfig::scaled(8),
+                           ecc::Scheme::kChipkill);
+  os::Os os(sys);
+  Runtime rt(&os);
+  fault::Injector inj(sys, os);
+  void* victim = os.malloc_ecc(64, ecc::Scheme::kSecded, "victim", true);
+  inj.inject_chip_kill(*os.virt_to_phys(victim), 4, 0x3);
+  sys.access(*os.virt_to_phys(victim), memsim::AccessKind::kRead);
+  ASSERT_TRUE(rt.errors_pending());
+
+  const std::size_t n = 32;
+  Rng rng(22);
+  linalg::LinearSystem lin = linalg::make_spd_system(n, rng);
+  std::vector<double> x(n, 0.0), r(n), z(n), p(n), q(n), w(4 * n);
+  FtOptions opt;
+  opt.hardware_assisted = true;
+  FtCg ft(lin.a.view(), lin.b, {x, r, z, p, q, w}, {}, opt, &rt);
+  FrozenClockBackend<NullTap> be;
+  ft.run(be);
+  EXPECT_GE(ft.stats().hw_notifications_used, 1u);
+  EXPECT_GE(ft.stats().errors_corrected, 1u);
+  expect_zero_seconds(ft.stats());
+}
+
+TEST(OneClock, QrCorrectionReadsTheBackendClock) {
+  const std::size_t n = 48;
+  Rng rng(23);
+  Matrix a = Matrix::random(n, n, rng);
+  for (std::size_t i = 0; i < n; ++i) a(i, i) += static_cast<double>(n);
+  Matrix aw(n, n + 2);
+  std::vector<double> tau(n, 0.0);
+  FrozenClockBackend<NullTap> be;
+  FtQr ft(be, a.view(), {aw.view(), tau}, {}, nullptr, 16);
+  ASSERT_EQ(ft.factor(be), FtStatus::kOk);
+  aw(10, 30) += 9.0;  // in R: row 10's live range starts at column 10
+  EXPECT_EQ(ft.verify_and_correct(be), FtStatus::kOk);
+  EXPECT_EQ(ft.stats().errors_corrected, 1u);
+  expect_zero_seconds(ft.stats());
 }
 
 // ------------------------------------------------- native instrumentation --

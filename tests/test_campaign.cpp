@@ -274,12 +274,12 @@ TEST(Campaign, ChecksumRowFaultIsCorrected) {
                              s.abft_matrix(n + 1, n + 1, "Cf")};
   abft::FtDgemm ft(on_node(s, a, "A"), on_node(s, b, "B"), buf,
                    abft::FtOptions{}, &s.runtime());
-  ASSERT_EQ(ft.run(s.tap()), abft::FtStatus::kOk);
+  ASSERT_EQ(ft.run(s.backend()), abft::FtStatus::kOk);
 
   // Flip a high-mantissa bit (byte 6) of a checksum-row element.
   ASSERT_TRUE(s.injector().corrupt_virtual_now(
       reinterpret_cast<char*>(&buf.cf(n, 3)) + 6, 3));
-  const abft::FtStatus st = ft.verify_and_correct(s.tap());
+  const abft::FtStatus st = ft.verify_and_correct(s.backend());
   EXPECT_EQ(st, abft::FtStatus::kCorrectedErrors);
 
   Matrix ref(n, n);
@@ -305,7 +305,7 @@ TEST(Campaign, FaultAfterLastVerifyIsSilentDataCorruption) {
                              s.abft_matrix(n + 1, n + 1, "Cf")};
   abft::FtDgemm ft(on_node(s, a, "A"), on_node(s, b, "B"), buf,
                    abft::FtOptions{}, &s.runtime());
-  const abft::FtStatus st = ft.run(s.tap());  // last verify happens in here
+  const abft::FtStatus st = ft.run(s.backend());  // last verify happens in here
   ASSERT_EQ(st, abft::FtStatus::kOk);
 
   // Payload flip after the run: a high-mantissa bit so the value moves.

@@ -12,6 +12,7 @@
 #include "fault/injector.hpp"
 #include "os/os.hpp"
 #include "sim/platform.hpp"
+#include "sim/backend.hpp"
 #include "sim/scaling.hpp"
 #include "sim/tap.hpp"
 
@@ -28,12 +29,14 @@ struct Rig {
   os::Os os;
   abft::Runtime rt;
   sim::TapContext ctx;
+  sim::SimBackend be;
   fault::Injector inj;
   explicit Rig(ecc::Scheme default_scheme = ecc::Scheme::kChipkill)
       : sys(memsim::SystemConfig::scaled(8), default_scheme),
         os(sys),
         rt(&os),
         ctx(os, sys),
+        be(ctx, sys),
         inj(sys, os) {}
 
   MatrixView matrix(std::size_t r, std::size_t c, ecc::Scheme s,
@@ -65,8 +68,7 @@ TEST(Cooperative, AbftCorrectsSilentDramErrorUnderNoEcc) {
       rig.matrix(n, n + 1, ecc::Scheme::kNone, "Br"),
       rig.matrix(n + 1, n + 1, ecc::Scheme::kNone, "Cf")};
   abft::FtDgemm ft(rig.input(a, "A"), rig.input(b, "B"), buf, {}, &rig.rt);
-  sim::MemoryTap tap(rig.ctx);
-  ASSERT_EQ(ft.run(tap), abft::FtStatus::kOk);
+  ASSERT_EQ(ft.run(rig.be), abft::FtStatus::kOk);
 
   // Push the result out of the caches (dirty writebacks overwrite DRAM),
   // then corrupt the line in DRAM and re-read through verification.
@@ -83,7 +85,7 @@ TEST(Cooperative, AbftCorrectsSilentDramErrorUnderNoEcc) {
 
   Matrix ref(n, n);
   linalg::gemm(1.0, a.view(), b.view(), 0.0, ref.view());
-  const auto st = ft.verify_and_correct(tap);
+  const auto st = ft.verify_and_correct(rig.be);
   EXPECT_EQ(st, abft::FtStatus::kCorrectedErrors);
   EXPECT_GE(rig.inj.stats().silent_corruptions, 1u);
   EXPECT_LT(max_abs_diff(ft.result(), ref.view()), 1e-7);
@@ -105,8 +107,7 @@ TEST(Cooperative, HardwareNotificationDrivesSimplifiedVerification) {
       rig.matrix(n, n + 1, ecc::Scheme::kSecded, "Br"),
       rig.matrix(n + 1, n + 1, ecc::Scheme::kSecded, "Cf")};
   abft::FtDgemm ft(rig.input(a, "A"), rig.input(b, "B"), buf, opt, &rig.rt);
-  sim::MemoryTap tap(rig.ctx);
-  ASSERT_EQ(ft.run(tap), abft::FtStatus::kOk);
+  ASSERT_EQ(ft.run(rig.be), abft::FtStatus::kOk);
 
   // Flush, then kill a chip under the line holding cf(5, 7).
   void* flusher = rig.os.malloc_plain(4 * rig.sys.config().l2.size_bytes, "flush");
@@ -126,7 +127,7 @@ TEST(Cooperative, HardwareNotificationDrivesSimplifiedVerification) {
 
   Matrix ref(n, n);
   linalg::gemm(1.0, a.view(), b.view(), 0.0, ref.view());
-  EXPECT_EQ(ft.verify_and_correct(tap), abft::FtStatus::kOk);
+  EXPECT_EQ(ft.verify_and_correct(rig.be), abft::FtStatus::kOk);
   EXPECT_GE(ft.stats().hw_notifications_used, 1u);
   EXPECT_LT(max_abs_diff(ft.result(), ref.view()), 1e-7);
 }
@@ -143,7 +144,7 @@ TEST(Cooperative, HardwareAssistedSkipsWorkWhenNoErrorPending) {
       rig.matrix(n, n + 1, ecc::Scheme::kSecded, "Br"),
       rig.matrix(n + 1, n + 1, ecc::Scheme::kSecded, "Cf")};
   abft::FtDgemm ft(rig.input(a, "A"), rig.input(b, "B"), buf, hw, &rig.rt);
-  ASSERT_EQ(ft.run(sim::MemoryTap(rig.ctx)), abft::FtStatus::kOk);
+  ASSERT_EQ(ft.run(rig.be), abft::FtStatus::kOk);
   // Same kernel without hardware assist does strictly more verify work.
   Rig rig2;
   abft::FtDgemm::Buffers buf2{
@@ -152,7 +153,7 @@ TEST(Cooperative, HardwareAssistedSkipsWorkWhenNoErrorPending) {
       rig2.matrix(n + 1, n + 1, ecc::Scheme::kSecded, "Cf")};
   abft::FtDgemm full(rig2.input(a, "A"), rig2.input(b, "B"), buf2, {},
                      &rig2.rt);
-  ASSERT_EQ(full.run(sim::MemoryTap(rig2.ctx)), abft::FtStatus::kOk);
+  ASSERT_EQ(full.run(rig2.be), abft::FtStatus::kOk);
   EXPECT_LT(rig.sys.stats().mem_refs, rig2.sys.stats().mem_refs);
 }
 

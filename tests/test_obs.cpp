@@ -22,6 +22,7 @@
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "os/os.hpp"
+#include "sim/backend.hpp"
 #include "sim/tap.hpp"
 
 namespace abftecc::obs {
@@ -430,6 +431,7 @@ TEST(ObsIntegration, InjectedFaultLeavesFullCooperativeChainInTrace) {
   os::Os osl(sys);
   abft::Runtime rt(&osl);
   sim::TapContext ctx(osl, sys);
+  sim::SimBackend be(ctx, sys);
   fault::Injector inj(sys, osl);
 
   const std::size_t n = 32;
@@ -452,7 +454,7 @@ TEST(ObsIntegration, InjectedFaultLeavesFullCooperativeChainInTrace) {
   abft::FtOptions fo;
   fo.hardware_assisted = true;
   abft::FtDgemm ft(a, b, buf, fo, &rt);
-  ASSERT_EQ(ft.run(sim::MemoryTap(ctx)), abft::FtStatus::kOk);
+  ASSERT_EQ(ft.run(be), abft::FtStatus::kOk);
 
   // Push the result out of the caches so the injected DRAM corruption is
   // what the next read decodes.
@@ -470,7 +472,7 @@ TEST(ObsIntegration, InjectedFaultLeavesFullCooperativeChainInTrace) {
   inj.inject_bit(phys + 1, 1);
   sys.access(phys, memsim::AccessKind::kRead);  // decode -> interrupt
 
-  const abft::FtStatus st = ft.verify_and_correct(sim::MemoryTap(ctx));
+  const abft::FtStatus st = ft.verify_and_correct(be);
   EXPECT_NE(st, abft::FtStatus::kUncorrectable);
   EXPECT_GE(ft.stats().hw_notifications_used, 1u);
   EXPECT_GE(ft.stats().errors_corrected, 1u);

@@ -277,11 +277,10 @@ TEST(LadderDgemm, AmbiguousGridHealedByTier2Recompute) {
   // (paper Case 4), so plain correction returns kUncorrectable and the
   // ladder's block recompute from the pristine inputs must take over.
   std::uint64_t counter = 0;
-  GridCorruptingTap tap{{&s.cf(10, 20), &s.cf(10, 30), &s.cf(40, 20),
-                         &s.cf(40, 30)},
-                        &counter,
-                        120000};
-  const abft::FtStatus st = ft.run(tap);
+  TapBackend be(GridCorruptingTap{{&s.cf(10, 20), &s.cf(10, 30),
+                                  &s.cf(40, 20), &s.cf(40, 30)},
+                                 &counter, 120000});
+  const abft::FtStatus st = ft.run(be);
   EXPECT_TRUE(st == abft::FtStatus::kOk ||
               st == abft::FtStatus::kCorrectedErrors)
       << to_string(st);
@@ -301,11 +300,10 @@ TEST(LadderDgemm, RecomputeDisabledFallsThroughToRollback) {
   abft::FtDgemm ft(s.a.view(), s.b.view(), s.buffers(), {}, &rt);
 
   std::uint64_t counter = 0;
-  GridCorruptingTap tap{{&s.cf(5, 6), &s.cf(5, 26), &s.cf(45, 6),
-                         &s.cf(45, 26)},
-                        &counter,
-                        120000};
-  const abft::FtStatus st = ft.run(tap);
+  TapBackend be(GridCorruptingTap{{&s.cf(5, 6), &s.cf(5, 26), &s.cf(45, 6),
+                                  &s.cf(45, 26)},
+                                 &counter, 120000});
+  const abft::FtStatus st = ft.run(be);
   // The corrupting tap is one-shot, so the replay from the rolled-back
   // epoch is clean and the run completes correctly.
   EXPECT_TRUE(st == abft::FtStatus::kOk ||
@@ -327,11 +325,10 @@ TEST(LadderDgemm, ExhaustedLadderSurfacesUnrecoverableNotPanic) {
   abft::FtDgemm ft(s.a.view(), s.b.view(), s.buffers(), {}, &rt);
 
   std::uint64_t counter = 0;
-  GridCorruptingTap tap{{&s.cf(10, 20), &s.cf(10, 30), &s.cf(40, 20),
-                         &s.cf(40, 30)},
-                        &counter,
-                        120000};
-  EXPECT_EQ(ft.run(tap), abft::FtStatus::kUnrecoverable);
+  TapBackend be(GridCorruptingTap{{&s.cf(10, 20), &s.cf(10, 30),
+                                  &s.cf(40, 20), &s.cf(40, 30)},
+                                 &counter, 120000});
+  EXPECT_EQ(ft.run(be), abft::FtStatus::kUnrecoverable);
   EXPECT_EQ(rm.verdict(), RecoveryVerdict::kUnrecoverable);
   EXPECT_EQ(rm.stats().unrecoverable, 1u);
 }
@@ -355,13 +352,13 @@ TEST(LadderQr, SameRowPairHealedByTrailingRecompute) {
   abft::Runtime rt;
   RecoveryManager rm;
   rt.set_recovery(&rm);
-  abft::FtQr ft(s.a.view(), s.buffers(), {}, &rt, 16);
-
   // Two errors in one trailing row: refused by per-row correction, healed
   // by regenerating the trailing columns from the original matrix.
   std::uint64_t counter = 0;
-  GridCorruptingTap tap{{&s.aw(50, 40), &s.aw(50, 55)}, &counter, 100000};
-  const abft::FtStatus st = ft.factor(tap);
+  TapBackend be(
+      GridCorruptingTap{{&s.aw(50, 40), &s.aw(50, 55)}, &counter, 100000});
+  abft::FtQr ft(be, s.a.view(), s.buffers(), {}, &rt, 16);
+  const abft::FtStatus st = ft.factor(be);
   EXPECT_TRUE(st == abft::FtStatus::kOk ||
               st == abft::FtStatus::kCorrectedErrors)
       << to_string(st);
@@ -384,11 +381,11 @@ TEST(LadderQr, RecomputeDisabledFallsThroughToRollback) {
   opt.enable_recompute = false;
   RecoveryManager rm(opt);
   rt.set_recovery(&rm);
-  abft::FtQr ft(s.a.view(), s.buffers(), {}, &rt, 16);
-
   std::uint64_t counter = 0;
-  GridCorruptingTap tap{{&s.aw(50, 40), &s.aw(50, 55)}, &counter, 100000};
-  const abft::FtStatus st = ft.factor(tap);
+  TapBackend be(
+      GridCorruptingTap{{&s.aw(50, 40), &s.aw(50, 55)}, &counter, 100000});
+  abft::FtQr ft(be, s.a.view(), s.buffers(), {}, &rt, 16);
+  const abft::FtStatus st = ft.factor(be);
   EXPECT_TRUE(st == abft::FtStatus::kOk ||
               st == abft::FtStatus::kCorrectedErrors)
       << to_string(st);
