@@ -7,6 +7,7 @@
 // sides -- the overhead on clean runs and the survival rate under
 // increasingly hostile random multi-error injections.
 #include <chrono>
+#include <vector>
 
 #include "abft/ft_dgemm.hpp"
 #include "abft/ft_dgemm_dual.hpp"
@@ -85,36 +86,62 @@ int main(int argc, char** argv) {
                     "SC'13 Sec. 2.1 'sophisticated checksum vectors'");
   const std::size_t n = 64;
 
-  // Clean-run overhead.
+  // Clean-run overhead: the median over kPairs (single, dual) pairs of the
+  // per-pair time ratio, with its interquartile range. Pairing keeps a
+  // throughput dip on a shared host from landing on one side of the ratio,
+  // and the pair's order alternates so neither side always runs second.
   {
+    constexpr int kPairs = 15;
     Rng rng(1);
     Matrix a = Matrix::random(n * 4, n * 4, rng);
     Matrix b = Matrix::random(n * 4, n * 4, rng);
-    double t_single = 0, t_dual = 0;
     NativeBackend be;
-    // r == 0 is a discarded warm-up round (first-touch page faults and
-    // cache warm-up would otherwise penalize whichever variant runs first).
-    for (int r = 0; r < 4; ++r) {
-      const bool warmup = r == 0;
-      Matrix ac1(4 * n + 1, 4 * n), br1(4 * n, 4 * n + 1),
-          cf1(4 * n + 1, 4 * n + 1);
+    const auto run_single = [&] {
+      Matrix ac(4 * n + 1, 4 * n), br(4 * n, 4 * n + 1),
+          cf(4 * n + 1, 4 * n + 1);
       abft::FtDgemm single(a.view(), b.view(),
-                           {ac1.view(), br1.view(), cf1.view()});
-      double t0 = now_seconds();
+                           {ac.view(), br.view(), cf.view()});
+      const double t0 = now_seconds();
       single.run(be);
-      if (!warmup) t_single += now_seconds() - t0;
-      Matrix ac2(4 * n + 2, 4 * n), br2(4 * n, 4 * n + 2),
-          cf2(4 * n + 2, 4 * n + 2);
+      return now_seconds() - t0;
+    };
+    const auto run_dual = [&] {
+      Matrix ac(4 * n + 2, 4 * n), br(4 * n, 4 * n + 2),
+          cf(4 * n + 2, 4 * n + 2);
       abft::FtDgemmDual dual(a.view(), b.view(),
-                             {ac2.view(), br2.view(), cf2.view()});
-      t0 = now_seconds();
+                             {ac.view(), br.view(), cf.view()});
+      const double t0 = now_seconds();
       dual.run(be);
-      if (!warmup) t_dual += now_seconds() - t0;
+      return now_seconds() - t0;
+    };
+    std::vector<double> single_s, dual_s, ratio;
+    // p == -1 is a discarded warm-up pair (first-touch page faults and
+    // cache warm-up would otherwise penalize whichever variant runs first).
+    for (int p = -1; p < kPairs; ++p) {
+      double single = 0, dual = 0;
+      if (p % 2 == 0) {
+        single = run_single();
+        dual = run_dual();
+      } else {
+        dual = run_dual();
+        single = run_single();
+      }
+      if (p < 0) continue;
+      single_s.push_back(single);
+      dual_s.push_back(dual);
+      ratio.push_back(dual / single - 1.0);
     }
-    std::printf("clean-run time at n=%zu: single %.3fs, dual %.3fs (+%s)\n\n",
-                4 * n, t_single, t_dual,
-                bench::fmt_pct(t_dual / t_single - 1.0).c_str());
-    rep.scalar("clean_run_dual_overhead", t_dual / t_single - 1.0);
+    const double overhead = bench::quantile(ratio, 0.5);
+    const double iqr =
+        bench::quantile(ratio, 0.75) - bench::quantile(ratio, 0.25);
+    std::printf(
+        "clean-run time at n=%zu, median of %d pairs: single %.4fs, dual "
+        "%.4fs, dual/single %s (IQR %s)\n\n",
+        4 * n, kPairs, bench::quantile(single_s, 0.5),
+        bench::quantile(dual_s, 0.5), bench::fmt_pct(overhead).c_str(),
+        bench::fmt_pct(iqr).c_str());
+    rep.scalar("clean_run_dual_overhead", overhead);
+    rep.scalar("clean_run_dual_overhead_iqr", iqr);
   }
 
   bench::row({"errors", "scheme", "corrected", "refused", "silent-wrong"});

@@ -13,7 +13,6 @@
 // Hosts on the scalar fallback skip both gates with a note; the numbers
 // are still reported. Wall-clock numbers are NOT part of the baseline
 // snapshot compare: they move with the host.
-#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -42,25 +41,16 @@ double timed_seconds(Fn&& fn) {
   return wall.seconds_since(t0);
 }
 
-/// Linear-interpolated quantile q in [0, 1] of `v`.
-double quantile(std::vector<double> v, double q) {
-  std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
-}
-
 /// Reports `name_<n>` = median of `v` and `name_iqr_<n>` = its IQR;
 /// returns the median.
 double summarize(bench::Report& rep, const char* name, std::size_t n,
                  const std::vector<double>& v) {
-  const double med = quantile(v, 0.5);
+  const double med = bench::quantile(v, 0.5);
   char key[64];
   std::snprintf(key, sizeof key, "%s_%zu", name, n);
   rep.scalar(key, med);
   std::snprintf(key, sizeof key, "%s_iqr_%zu", name, n);
-  rep.scalar(key, quantile(v, 0.75) - quantile(v, 0.25));
+  rep.scalar(key, bench::quantile(v, 0.75) - bench::quantile(v, 0.25));
   return med;
 }
 
@@ -142,7 +132,8 @@ void measure(bench::Report& rep, std::size_t n, double fma_peak) {
   bench::row({std::to_string(n), bench::fmt(gflops(n, plain), 2),
               bench::fmt_pct(gflops(n, plain) / fma_peak),
               bench::fmt(gflops(n, fused), 2), bench::fmt_pct(overhead),
-              bench::fmt_pct(quantile(ratio, 0.75) - quantile(ratio, 0.25))});
+              bench::fmt_pct(bench::quantile(ratio, 0.75) -
+                             bench::quantile(ratio, 0.25))});
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // compared directly (see EXPERIMENTS.md for the side-by-side record).
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <string_view>
@@ -69,6 +70,15 @@ inline std::string fmt_sci(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.3g", v);
   return buf;
+}
+
+/// Linear-interpolated quantile q in [0, 1] of `v` (non-empty).
+inline double quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
 }
 
 /// One experiment's machine-readable record. Construct it first thing in

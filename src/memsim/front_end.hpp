@@ -99,8 +99,8 @@ struct DramRequest {
   bool blocking = false;
 };
 
-/// Decoding position in a FrontEndRecord. Each replaying run has its own;
-/// the record itself is read-only and may be shared across threads.
+/// Decoding position in a FrontEndRecord. Each replaying MemorySystem has
+/// its own; the record itself is read-only and may be shared across threads.
 class FrontEndCursor {
  public:
   static constexpr std::uint64_t kEnd =
@@ -118,7 +118,6 @@ class FrontEndCursor {
   /// Move past the current event.
   void advance();
 
-  [[nodiscard]] const FrontEndRecord& record() const { return rec_; }
   [[nodiscard]] bool done() const {
     return at_ == kEnd && !requests_ && miss_pos_ == rec_.misses_.end() &&
            straddle_pos_ == rec_.straddles_.end();

@@ -36,22 +36,6 @@ AccessShape MemorySystem::shape_at(std::uint64_t phys, ecc::Scheme s) const {
   return shape_for(s);
 }
 
-void MemorySystem::classify_energy(std::uint64_t line_addr, Picojoules pj) {
-  stats_.dram_dynamic_pj += pj;
-  if (hooks_.region_classifier && hooks_.region_classifier(line_addr))
-    stats_.dram_dynamic_abft_pj += pj;
-  else
-    stats_.dram_dynamic_other_pj += pj;
-}
-
-void MemorySystem::count_demand_miss(std::uint64_t line_addr) {
-  ++stats_.demand_misses;
-  if (hooks_.region_classifier && hooks_.region_classifier(line_addr))
-    ++stats_.demand_misses_abft;
-  else
-    ++stats_.demand_misses_other;
-}
-
 void MemorySystem::dram_request(std::uint64_t line_addr, bool is_write,
                                 bool blocking) {
   if (recorder_ != nullptr) recorder_->dram(line_addr, is_write, blocking);
@@ -60,7 +44,12 @@ void MemorySystem::dram_request(std::uint64_t line_addr, bool is_write,
   const DramAddress da = map_.decompose(line_addr);
   const Cycles now = now_dram();
   const DramAccessResult res = dram_.issue(da, is_write, shape, now);
-  classify_energy(line_addr, res.energy_pj);
+  // One classification serves the energy split and the demand-miss count.
+  const bool abft =
+      hooks_.region_classifier && hooks_.region_classifier(line_addr);
+  stats_.dram_dynamic_pj += res.energy_pj;
+  (abft ? stats_.dram_dynamic_abft_pj : stats_.dram_dynamic_other_pj) +=
+      res.energy_pj;
 
   switch (scheme) {
     case ecc::Scheme::kNone: dram_access_none_.add(); break;
@@ -77,6 +66,9 @@ void MemorySystem::dram_request(std::uint64_t line_addr, bool is_write,
   if (hooks_.fill_hook) hooks_.fill_hook(line_addr, scheme, is_write);
 
   if (blocking) {
+    // A demand fill: the only blocking request of an L2 miss.
+    ++stats_.demand_misses;
+    ++(abft ? stats_.demand_misses_abft : stats_.demand_misses_other);
     const double stall_dram = static_cast<double>(res.completion - now);
     const std::uint64_t stall_cpu =
         static_cast<std::uint64_t>(stall_dram *
@@ -119,11 +111,41 @@ void MemorySystem::access(std::uint64_t phys_addr, AccessKind kind) {
   const CacheAccess a2 = l2_.access(line, false);
   if (a2.hit) return;
 
-  count_demand_miss(line);
   if (a2.evicted && a2.evicted_dirty)
     dram_request(a2.evicted_line_addr, true, /*blocking=*/false);
 
   dram_request(line, false, /*blocking=*/true);
+}
+
+void MemorySystem::replay_front_end(const FrontEndRecord* rec) {
+  if (rec == nullptr) {
+    settle();
+    cursor_.reset();
+    return;
+  }
+  ABFTECC_REQUIRE(!cursor_.has_value());
+  cursor_.emplace(*rec);
+}
+
+void MemorySystem::replay_deferred() {
+  FrontEndCursor& cur = *cursor_;
+  std::uint64_t refs = deferred_;
+  deferred_ = 0;
+  replayed_refs_ += refs;
+  while (refs != 0) {
+    // The references before the next event are L1 hits within one line.
+    // (A replay that diverged from its record leaves the cursor behind:
+    // the subtraction wraps, no event matches again, and finishing the run
+    // finds the record unconsumed.)
+    const std::uint64_t quiet = std::min(refs, cur.at() - stats_.mem_refs);
+    count_access(quiet);
+    refs -= quiet;
+    if (refs == 0) return;
+    const std::uint64_t a = stats_.mem_refs;
+    count_access();
+    replay_events(cur, a);
+    --refs;
+  }
 }
 
 void MemorySystem::replay_events(FrontEndCursor& cur, std::uint64_t access) {
@@ -138,15 +160,12 @@ void MemorySystem::replay_miss(FrontEndCursor& cur) {
   ABFTECC_REQUIRE(!cur.straddle());
   stats_.cpu_cycles += cfg_.l2_latency_cycles;
   DramRequest r;
-  while (cur.next_request(r)) {
-    // A recorded miss's only blocking request is its demand fill.
-    if (r.blocking) count_demand_miss(r.line_addr);
-    dram_request(r.line_addr, r.is_write, r.blocking);
-  }
+  while (cur.next_request(r)) dram_request(r.line_addr, r.is_write, r.blocking);
   cur.advance();
 }
 
 Picojoules MemorySystem::processor_energy_pj() const {
+  settle();
   const double ipc = std::min(stats_.ipc(), cfg_.core.peak_ipc);
   const double watts =
       cfg_.core.idle_socket_watts +
@@ -156,6 +175,7 @@ Picojoules MemorySystem::processor_energy_pj() const {
 }
 
 void MemorySystem::reset_stats() {
+  settle();
   stats_ = {};
   l1_.reset_stats();
   l2_.reset_stats();

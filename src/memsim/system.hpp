@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 
 #include "common/backend.hpp"
 #include "common/units.hpp"
@@ -85,57 +86,99 @@ class MemorySystem {
   /// one location (single cache access that dirties the line).
   void access(std::uint64_t phys_addr, AccessKind kind);
 
-  /// One access replayed from `cur` instead of looked up (DESIGN.md section
-  /// 6c): the core cost of an L1 hit, plus what the recorded front end did
-  /// at this access -- the L2 latency of an L1 miss, its DRAM requests
-  /// issued through the back end, and a straddling reference's second access.
-  void replay_access(FrontEndCursor& cur) {
-    const std::uint64_t a = stats_.mem_refs;
-    count_access();
-    if (a == cur.at()) replay_events(cur, a);
-  }
-
   /// Record every L1 miss and DRAM request into `rec` from here on (null
   /// stops recording).
   void record_front_end(FrontEndRecord* rec) { recorder_ = rec; }
 
+  /// Replay `rec` in place of the caches from here on (DESIGN.md section
+  /// 6c): references come in through defer_reference() instead of access().
+  /// Null settles and stops replaying.
+  void replay_front_end(const FrontEndRecord* rec);
+  /// One replayed reference. It is only counted here; settle() simulates
+  /// it, with whatever the record says happened at it.
+  void defer_reference() { ++deferred_; }
+  /// The replay consumed its whole record.
+  [[nodiscard]] bool replay_done() const {
+    settle();
+    return cursor_.has_value() && cursor_->done();
+  }
+  /// References the replay has taken so far.
+  [[nodiscard]] std::uint64_t replayed_refs() const {
+    settle();
+    return replayed_refs_;
+  }
+  /// Simulate the deferred references in access order: the core cost of
+  /// an L1 hit for each, and at each recorded event the L2 latency of an L1
+  /// miss, its DRAM requests issued through the back end, or a straddling
+  /// reference's second access. Every accessor that exposes simulated state
+  /// and every handle that can change the back end settles first, so all
+  /// state reads as if each reference had been simulated as it came; the
+  /// Os also settles before it changes the region layout the classifier
+  /// reads. Settling changes when the work is done, not what any reader
+  /// sees, so the const accessors may do it (no MemorySystem is const).
+  void settle() const {
+    if (deferred_ != 0) const_cast<MemorySystem*>(this)->replay_deferred();
+  }
+
   /// Account `n` non-memory instructions (1 cycle each, in-order).
   void execute(std::uint64_t n) {
+    settle();
     stats_.instructions += n;
     stats_.cpu_cycles += n;
   }
 
   // --- wiring -------------------------------------------------------------
 
-  MemoryController& controller() { return mc_; }
-  const MemoryController& controller() const { return mc_; }
+  MemoryController& controller() {
+    settle();
+    return mc_;
+  }
+  const MemoryController& controller() const {
+    settle();
+    return mc_;
+  }
   const AddressMap& address_map() const { return map_; }
   const SystemConfig& config() const { return cfg_; }
-  DramSystem& dram() { return dram_; }
+  DramSystem& dram() {
+    settle();
+    return dram_;
+  }
 
   /// The live hook set (see Hooks). Mutable so layers can chain onto an
   /// already-installed hook instead of silently replacing it.
-  [[nodiscard]] Hooks& hooks() { return hooks_; }
+  [[nodiscard]] Hooks& hooks() {
+    settle();
+    return hooks_;
+  }
   [[nodiscard]] const Hooks& hooks() const { return hooks_; }
 
   // --- results ------------------------------------------------------------
 
-  [[nodiscard]] const SystemStats& stats() const { return stats_; }
+  [[nodiscard]] const SystemStats& stats() const {
+    settle();
+    return stats_;
+  }
   /// Monotone-counter snapshot for the phase profiler: sim::Session binds
   /// a PhaseProfiler sampler to this.
   [[nodiscard]] obs::CounterSample counter_sample() const {
+    settle();
     return {stats_.cpu_cycles, stats_.stall_cycles, stats_.instructions,
             stats_.dram_dynamic_pj};
   }
   [[nodiscard]] const CacheStats& l1_stats() const { return l1_.stats(); }
   [[nodiscard]] const CacheStats& l2_stats() const { return l2_.stats(); }
-  [[nodiscard]] const DramStats& dram_stats() const { return dram_.stats(); }
+  [[nodiscard]] const DramStats& dram_stats() const {
+    settle();
+    return dram_.stats();
+  }
 
   [[nodiscard]] double elapsed_seconds() const {
+    settle();
     return static_cast<double>(stats_.cpu_cycles) /
            (cfg_.core.clock_ghz * 1e9);
   }
   [[nodiscard]] Picojoules memory_dynamic_energy_pj() const {
+    settle();
     return stats_.dram_dynamic_pj;
   }
   [[nodiscard]] Picojoules memory_standby_energy_pj() const {
@@ -170,18 +213,18 @@ class MemorySystem {
                                cfg_.core.cpu_per_dram_cycle());
   }
   [[nodiscard]] AccessShape shape_at(std::uint64_t phys, ecc::Scheme s) const;
-  /// One memory instruction plus its addressing/FP companion: the kernels
-  /// under study perform roughly one arithmetic op per operand touched.
-  void count_access() {
-    ++stats_.mem_refs;
-    stats_.instructions += 2;
-    stats_.cpu_cycles += 2;
+  /// `n` memory instructions, each with its addressing/FP companion: the
+  /// kernels under study perform roughly one arithmetic op per operand
+  /// touched.
+  void count_access(std::uint64_t n = 1) {
+    stats_.mem_refs += n;
+    stats_.instructions += 2 * n;
+    stats_.cpu_cycles += 2 * n;
   }
-  void count_demand_miss(std::uint64_t line_addr);
   void dram_request(std::uint64_t line_addr, bool is_write, bool blocking);
+  void replay_deferred();
   void replay_events(FrontEndCursor& cur, std::uint64_t access);
   void replay_miss(FrontEndCursor& cur);
-  void classify_energy(std::uint64_t line_addr, Picojoules pj);
 
   SystemConfig cfg_;
   AddressMap map_;
@@ -199,6 +242,11 @@ class MemorySystem {
   obs::Counter& dram_access_chipkill_;
   Hooks hooks_;
   FrontEndRecord* recorder_ = nullptr;
+  /// Replay state: the record's cursor, the references not yet settled,
+  /// and all references taken.
+  std::optional<FrontEndCursor> cursor_;
+  std::uint64_t deferred_ = 0;
+  std::uint64_t replayed_refs_ = 0;
   /// Fixed controller/queueing overhead added to every DRAM round trip.
   static constexpr unsigned kMcOverheadCpuCycles = 12;
 };

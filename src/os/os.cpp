@@ -32,6 +32,8 @@ Os::~Os() {
 void* Os::allocate(std::size_t n, ecc::Scheme scheme, std::string name,
                    bool abft_protected, bool program_mc) {
   ABFTECC_REQUIRE(n > 0);
+  // Deferred references classify their lines by the layout they ran under.
+  system_.settle();
   const std::uint64_t page = pages_.page_bytes();
   const std::uint64_t frames = (n + page - 1) / page;
 
@@ -71,6 +73,7 @@ void* Os::malloc_plain(std::size_t n, std::string name) {
 }
 
 void Os::free_ecc(void* ptr) {
+  layout_changing();
   for (auto it = allocations_.begin(); it != allocations_.end(); ++it) {
     if ((*it)->storage.get() == static_cast<std::byte*>(ptr)) {
       const Region& r = (*it)->region;
@@ -106,6 +109,23 @@ const Region* Os::region_of(const void* p) const {
     if (b >= r.host_base && b < r.host_base + r.size) return &r;
   }
   return nullptr;
+}
+
+const Os::Translation* Os::translate_miss(const void* p) {
+  const Region* r = region_of(p);
+  if (r == nullptr) return nullptr;
+  Translation& t = slots_[next_slot_];
+  next_slot_ ^= 1;
+  t.begin = reinterpret_cast<std::uintptr_t>(r->host_base);
+  t.end = t.begin + r->size;
+  t.phys_base = r->phys_base;
+  t.abft = r->abft_protected;
+  return &t;
+}
+
+void Os::layout_changing() {
+  system_.settle();
+  slots_ = {};
 }
 
 const Region* Os::region_of_phys(std::uint64_t phys) const {
@@ -175,6 +195,7 @@ bool Os::retire_and_migrate(const void* vaddr) {
     }
   }
   if (owner == nullptr) return false;
+  layout_changing();
   Region& r = owner->region;
   const std::uint64_t page = pages_.page_bytes();
   const auto bad_phys =

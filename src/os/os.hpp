@@ -11,6 +11,7 @@
 // go to panic mode.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -96,6 +97,24 @@ class Os {
   [[nodiscard]] std::optional<std::byte*> phys_to_host(std::uint64_t phys);
   [[nodiscard]] bool is_abft_protected_phys(std::uint64_t phys) const;
   [[nodiscard]] const Region* region_of(const void* p) const;
+
+  /// Host-to-physical translation of one region, as the tap uses it.
+  struct Translation {
+    std::uintptr_t begin = 0, end = 0;  ///< host range [begin, end)
+    std::uint64_t phys_base = 0;
+    bool abft = false;
+  };
+  /// Translation of the region holding `p`, or null if no region does. Two
+  /// slots keep the last two regions looked up, so a loop alternating two
+  /// operands skips region_of's scan; a miss refills them round-robin.
+  /// Freeing or migrating a region drops both slots. The pointer is valid
+  /// until the next call or layout change.
+  [[nodiscard]] const Translation* translate(const void* p) {
+    const auto a = reinterpret_cast<std::uintptr_t>(p);
+    for (const Translation& t : slots_)
+      if (a >= t.begin && a < t.end) return &t;
+    return translate_miss(p);
+  }
   [[nodiscard]] const Region* region_of_phys(std::uint64_t phys) const;
 
   /// Physical [begin, end) ranges of the live ABFT-protected allocations.
@@ -180,6 +199,10 @@ class Os {
                  bool abft_protected, bool program_mc);
   void push_exposed(ExposedError e);
   void note_region_uncorrectable(Allocation& alloc, Cycles cycle);
+  const Translation* translate_miss(const void* p);
+  /// A region is about to move or go away: simulate the references the
+  /// memory system deferred under the old layout and forget translations.
+  void layout_changing();
 
   memsim::MemorySystem& system_;
   PageAllocator pages_;
@@ -195,6 +218,8 @@ class Os {
   unsigned auto_retire_threshold_ = 0;
   std::uint64_t migrations_ = 0;
   std::unordered_map<std::uint64_t, unsigned> frame_fault_counts_;
+  std::array<Translation, 2> slots_{};
+  unsigned next_slot_ = 0;
 };
 
 }  // namespace abftecc::os

@@ -2,11 +2,11 @@
 //
 // Every instrumented kernel reference is translated from its host (virtual)
 // address to a simulated physical address through the Os region that holds
-// it, and issued to the MemorySystem. As on the paper's simulated node, all
-// data a kernel touches comes from the Os allocator (malloc_ecc /
-// malloc_plain), so simulated addresses -- and therefore cycles -- follow
-// the Os's allocation order alone, whatever host addresses the data has. A
-// reference outside every region is a contract violation.
+// it (Os::translate), and issued to the MemorySystem. As on the paper's
+// simulated node, all data a kernel touches comes from the Os allocator
+// (malloc_ecc / malloc_plain), so simulated addresses -- and therefore
+// cycles -- follow the Os's allocation order alone, whatever host addresses
+// the data has. A reference outside every region is a contract violation.
 //
 // A context can also record what the memory system's front end did, or
 // replay such a record instead of translating and looking up the caches
@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <utility>
 
 #include "common/error.hpp"
@@ -33,29 +32,14 @@ class TapContext {
 
   void issue(const void* p, std::size_t bytes, memsim::AccessKind kind) {
     if (replay_ != nullptr) {
-      ++replayed_refs_;
-      system_.replay_access(*replay_);
+      system_.defer_reference();
       return;
     }
-    const auto addr = reinterpret_cast<std::uintptr_t>(p);
-    // Fast path: same region as the previous reference.
-    std::uint64_t phys;
-    bool abft = false;
-    if (last_ != nullptr && addr >= last_begin_ && addr < last_end_) {
-      phys = last_phys_base_ + (addr - last_begin_);
-      abft = last_abft_;
-    } else {
-      const os::Region* r = os_.region_of(p);
-      ABFTECC_REQUIRE(r != nullptr);
-      last_ = r;
-      last_begin_ = reinterpret_cast<std::uintptr_t>(r->host_base);
-      last_end_ = last_begin_ + r->size;
-      last_phys_base_ = r->phys_base;
-      last_abft_ = r->abft_protected;
-      phys = r->phys_base + (addr - last_begin_);
-      abft = r->abft_protected;
-    }
-    if (abft)
+    const os::Os::Translation* t = os_.translate(p);
+    ABFTECC_REQUIRE(t != nullptr);
+    const std::uint64_t phys =
+        t->phys_base + (reinterpret_cast<std::uintptr_t>(p) - t->begin);
+    if (t->abft)
       ++refs_abft_;
     else
       ++refs_other_;
@@ -95,14 +79,17 @@ class TapContext {
     system_.record_front_end(&rec);
   }
 
-  /// Replay `rec` for the run about to start: each reference steps a cursor
-  /// through the record instead of being translated and looked up. The run
-  /// must issue exactly the recorded references, on the recorded layout,
-  /// with no trigger armed and no direct MemorySystem::access.
+  /// Replay `rec` for the run about to start: each reference is only
+  /// counted, and the memory system replays the record's events when its
+  /// state is read (MemorySystem::settle) instead of translating and looking
+  /// up the caches. The run must issue exactly the recorded references, on
+  /// the recorded layout, with no trigger armed and no direct
+  /// MemorySystem::access.
   void replay(const memsim::FrontEndRecord& rec) {
     ABFTECC_REQUIRE(fresh() && trigger_ == nullptr);
     ABFTECC_REQUIRE(rec.matches(system_.config()));
-    replay_ = std::make_unique<memsim::FrontEndCursor>(rec);
+    replay_ = &rec;
+    system_.replay_front_end(&rec);
   }
 
   /// End of the recorded or replayed run. A recording takes the caches'
@@ -127,17 +114,21 @@ class TapContext {
       rec.seal();
     }
     if (replay_ != nullptr) {
-      const memsim::FrontEndRecord& rec = replay_->record();
-      ABFTECC_REQUIRE(replay_->done());
+      const memsim::FrontEndRecord& rec = *replay_;
+      // Simulate the deferred references before checking the run.
+      system_.settle();
+      ABFTECC_REQUIRE(system_.replay_done());
       ABFTECC_REQUIRE(system_.l1_stats().accesses == 0);
       ABFTECC_REQUIRE(system_.stats().mem_refs == rec.accesses);
-      ABFTECC_REQUIRE(replayed_refs_ == rec.refs_abft + rec.refs_other);
+      ABFTECC_REQUIRE(system_.replayed_refs() ==
+                      rec.refs_abft + rec.refs_other);
       ABFTECC_REQUIRE(os_.all_phys_ranges() == rec.regions &&
                       os_.abft_phys_ranges() == rec.abft_regions);
+      system_.replay_front_end(nullptr);
       refs_abft_ = rec.refs_abft;
       refs_other_ = rec.refs_other;
       replayed_ = &rec;
-      replay_.reset();
+      replay_ = nullptr;
     }
   }
 
@@ -157,17 +148,12 @@ class TapContext {
 
   os::Os& os_;
   memsim::MemorySystem& system_;
-  const os::Region* last_ = nullptr;
-  std::uintptr_t last_begin_ = 0, last_end_ = 0;
-  std::uint64_t last_phys_base_ = 0;
-  bool last_abft_ = false;
   std::uint64_t refs_abft_ = 0;
   std::uint64_t refs_other_ = 0;
   std::uint64_t trigger_at_ = 0;
   std::function<void()> trigger_;
   memsim::FrontEndRecord* record_ = nullptr;
-  std::unique_ptr<memsim::FrontEndCursor> replay_;
-  std::uint64_t replayed_refs_ = 0;
+  const memsim::FrontEndRecord* replay_ = nullptr;
   const memsim::FrontEndRecord* replayed_ = nullptr;
 };
 

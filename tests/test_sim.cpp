@@ -7,6 +7,7 @@
 #include "fault/injector.hpp"
 #include "memsim/system.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "os/os.hpp"
 #include "sim/dgms.hpp"
 #include "sim/platform.hpp"
@@ -47,6 +48,45 @@ TEST(MemoryTapTest, UnregisteredReferenceViolatesTheContract) {
   MemoryTap tap(rig.ctx);
   EXPECT_THROW(tap.read(&local[0]), ContractViolation);
   EXPECT_EQ(rig.sys.stats().mem_refs, 0u);
+}
+
+// The tap's cached translations must not outlive the layout they came
+// from: a migrated region's references go to its new frames.
+TEST(MemoryTapTest, MigratedRegionTranslatesToItsNewFrames) {
+  Rig rig;
+  const std::size_t page = rig.sys.config().page_bytes;
+  auto* p = static_cast<std::uint8_t*>(
+      rig.os.malloc_ecc(4 * page, ecc::Scheme::kNone, "m", true));
+  MemoryTap tap(rig.ctx);
+  tap.read(p);  // caches the region's translation
+  ASSERT_EQ(rig.os.virt_to_phys(p), 0x0u);
+  ASSERT_TRUE(rig.os.retire_and_migrate(p));
+  ASSERT_EQ(rig.os.virt_to_phys(p + 3 * page), 0x7000u);
+
+  // Evict everything the migration's copy left in the caches, outside the
+  // tap, so the next reference fills from DRAM.
+  const std::size_t flush = 4 * rig.sys.config().l2.size_bytes;
+  const auto* f = static_cast<std::uint8_t*>(rig.os.malloc_plain(flush, "f"));
+  const std::uint64_t f_phys = *rig.os.virt_to_phys(f);
+  for (std::uint64_t off = 0; off < flush; off += 64)
+    rig.sys.access(f_phys + off, memsim::AccessKind::kRead);
+
+  std::vector<std::uint64_t> fills;
+  rig.sys.hooks().fill_hook = [&](std::uint64_t line, ecc::Scheme, bool w) {
+    if (!w) fills.push_back(line);
+  };
+  tap.read(p + 3 * page);
+  EXPECT_EQ(fills, std::vector<std::uint64_t>{0x7000});
+}
+
+TEST(MemoryTapTest, FreedRegionViolatesTheContract) {
+  Rig rig;
+  auto* p = rig.os.malloc_ecc(4096, ecc::Scheme::kNone, "m", true);
+  MemoryTap tap(rig.ctx);
+  tap.read(p);  // caches the region's translation
+  rig.os.free_ecc(p);
+  EXPECT_THROW(tap.read(p), ContractViolation);
+  EXPECT_EQ(rig.sys.stats().mem_refs, 1u);
 }
 
 TEST(MemoryTapTest, StraddlingReferenceTouchesBothLines) {
@@ -123,6 +163,131 @@ TEST(FrontEndReplay, StraddlingReferenceReplaysExactly) {
   EXPECT_EQ(replayed.ctx.refs_other(), live.ctx.refs_other());
   EXPECT_NE(replayed.sys.stats().dram_dynamic_pj,
             recording.sys.stats().dram_dynamic_pj);  // the back ends differ
+}
+
+// A synthetic stream over a region four times the L2 of scaled(32),
+// walked twice with updates: a straddling reference at every 16th line
+// boundary, and at every 8th line a read 4 KB back (past the L1, inside the
+// L2). It has L2-hit misses, DRAM misses, posted writebacks and splits.
+// `ref(offset, bytes, kind, straddles)` issues one reference.
+template <typename Ref>
+void synthetic_stream(std::size_t line, Ref&& ref) {
+  constexpr std::size_t kBytes = 256 * 1024;
+  constexpr std::size_t kBack = 4096;
+  for (int pass = 0; pass < 2; ++pass)
+    for (std::size_t off = 0; off + 8 <= kBytes; off += 8) {
+      if (off % (16 * line) == line - 8) {
+        ref(off + 4, 8, memsim::AccessKind::kUpdate, true);
+      } else {
+        ref(off, 8, memsim::AccessKind::kUpdate, false);
+      }
+      if (off % (8 * line) == 0 && off >= kBack)
+        ref(off - kBack, 8, memsim::AccessKind::kRead, false);
+    }
+}
+
+std::uint8_t* stream_region(Rig& rig, ecc::Scheme scheme) {
+  auto* p = static_cast<std::uint8_t*>(
+      rig.os.malloc_ecc(256 * 1024, scheme, "m", true));
+  EXPECT_NE(p, nullptr);
+  return p;
+}
+
+// The replay simulates its references only when the system's state is
+// read. Every read in the middle of the run -- stats(), counter_sample()
+// and the cycle clock, at misses, right after splits and at irregular
+// reference counts -- must equal a live run's at the same point, and the
+// demand-miss trace must carry the live run's cycle stamps.
+TEST(FrontEndReplay, MidReplayObservationsEqualLive) {
+  const memsim::SystemConfig cfg = memsim::SystemConfig::scaled(32);
+  const std::size_t line = cfg.l1.line_bytes;
+  memsim::FrontEndRecord rec;
+  {
+    Rig recording(cfg, ecc::Scheme::kChipkill);
+    std::uint8_t* p = stream_region(recording, ecc::Scheme::kSecded);
+    recording.ctx.record(rec);
+    synthetic_stream(line, [&](std::size_t off, std::size_t n,
+                               memsim::AccessKind kind, bool) {
+      recording.ctx.issue(p + off, n, kind);
+    });
+    recording.ctx.finish();
+  }
+  EXPECT_GT(rec.splits(), 0u);
+
+  Rig live(cfg, ecc::Scheme::kNone), replayed(cfg, ecc::Scheme::kNone);
+  std::uint8_t* lp = stream_region(live, ecc::Scheme::kNone);
+  std::uint8_t* rp = stream_region(replayed, ecc::Scheme::kNone);
+  replayed.ctx.replay(rec);
+  const TickClock live_clock = live.sys.cycle_clock();
+  const TickClock replay_clock = replayed.sys.cycle_clock();
+  // Each rig traces into its own tracer: the live one as it issues, the
+  // replaying one whenever it settles.
+  obs::Tracer live_trace, replay_trace;
+  for (obs::Tracer* t : {&live_trace, &replay_trace}) {
+    t->set_capacity(1 << 16);
+    t->enable();
+  }
+  std::uint64_t refs = 0, misses = 0, splits = 0, observed = 0;
+  std::uint64_t next_check = 1;
+  bool same = true;
+  synthetic_stream(line, [&](std::size_t off, std::size_t n,
+                             memsim::AccessKind kind, bool straddles) {
+    {
+      obs::TracerScope scope(live_trace);
+      live.ctx.issue(lp + off, n, kind);
+    }
+    obs::TracerScope scope(replay_trace);
+    replayed.ctx.issue(rp + off, n, kind);
+    ++refs;
+    const std::uint64_t m = live.sys.l1_stats().misses;
+    const bool at_miss = m != misses && m % 5 == 0;
+    misses = m;
+    const bool after_split = straddles && ++splits % 3 == 0;
+    if (!at_miss && !after_split && refs != next_check) return;
+    if (refs == next_check) next_check += 1 + (refs * 7919) % 211;
+    // Each observation reads one accessor, so each must settle by itself.
+    bool equal = false;
+    switch (observed++ % 3) {
+      case 0:
+        equal = replayed.sys.stats() == live.sys.stats();
+        break;
+      case 1: {
+        const obs::CounterSample a = live.sys.counter_sample();
+        const obs::CounterSample b = replayed.sys.counter_sample();
+        equal = a.cycles == b.cycles && a.stall_cycles == b.stall_cycles &&
+                a.instructions == b.instructions &&
+                a.dram_dynamic_pj == b.dram_dynamic_pj;
+        break;
+      }
+      default:
+        equal = replay_clock.now() == live_clock.now();
+    }
+    if (same && !equal) {
+      ADD_FAILURE() << "replay differs from live at observation "
+                    << observed - 1 << ", after reference " << refs;
+      same = false;
+    }
+  });
+  {
+    obs::TracerScope scope(replay_trace);
+    replayed.ctx.finish();
+  }
+  const std::vector<obs::TraceEvent> want = live_trace.snapshot();
+  const std::vector<obs::TraceEvent> got = replay_trace.snapshot();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].ts, want[i].ts) << "event " << i;
+    ASSERT_EQ(got[i].addr, want[i].addr) << "event " << i;
+    ASSERT_EQ(got[i].a0, want[i].a0) << "event " << i;
+  }
+
+  EXPECT_GT(observed, 1000u);
+  EXPECT_GT(want.size(), 1000u);
+  EXPECT_GT(live.sys.l2_stats().hits, 0u);
+  EXPECT_GT(live.sys.stats().demand_misses, 0u);
+  EXPECT_GT(live.sys.stats().writebacks, 0u);
+  EXPECT_TRUE(replayed.sys.stats() == live.sys.stats());
+  EXPECT_TRUE(replayed.sys.dram_stats() == live.sys.dram_stats());
 }
 
 TEST(MemoryTapTest, CopiedHandlesShareState) {
